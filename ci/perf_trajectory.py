@@ -58,6 +58,9 @@ ABSOLUTE_GATES = [
     ("serve_warm_decompilations", 0.0),
     ("serve_extra_partitions", 0.0),
     ("serve_burst_executed", 1.0),
+    # Warm replies of the mixed phase were all answered on the connection
+    # thread from the memory tier, none queued behind a worker.
+    ("serve_warm_queued", 0.0),
     ("serve_report_identical", 1.0),
     ("serve_shutdown_clean", 1.0),
     # The serve daemon's `metrics` endpoint returned a schema-stamped

@@ -433,7 +433,7 @@ std::shared_ptr<const Artifact> ArtifactCache::FindInTiers(
     std::unordered_map<std::string, std::shared_ptr<const Artifact>>& entries,
     std::string_view kind,
     std::shared_ptr<const Artifact> (*decode)(std::string_view),
-    const std::string& key, HitTier* tier) {
+    const std::string& key, HitTier* tier, Tiers tiers) {
   TierMetrics& metrics = TierMetrics::Get();
   obs::ScopedSpan span("cache.find", "cache");
   span.Arg("kind", kind);
@@ -447,6 +447,11 @@ std::shared_ptr<const Artifact> ArtifactCache::FindInTiers(
       if (tier != nullptr) *tier = HitTier::kMemory;
       return it->second;
     }
+  }
+  if (tiers == Tiers::kMemoryOnly) {
+    span.Arg("tier", TierName(HitTier::kMiss));
+    if (tier != nullptr) *tier = HitTier::kMiss;
+    return nullptr;
   }
   if (disk_ != nullptr) {
     if (auto payload = disk_->Load(kind, key)) {
@@ -500,16 +505,36 @@ void ArtifactCache::PutInTiers(
   stats_.entries = decompiles_.size() + partitions_.size();
 }
 
+template <typename Artifact>
+std::shared_ptr<const Artifact> ArtifactCache::PeekMemory(
+    const std::unordered_map<std::string, std::shared_ptr<const Artifact>>&
+        entries,
+    const std::string& key) const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = entries.find(key);
+  return it != entries.end() ? it->second : nullptr;
+}
+
 std::shared_ptr<const DecompileArtifact> ArtifactCache::FindDecompile(
-    const std::string& key, HitTier* tier) {
+    const std::string& key, HitTier* tier, Tiers tiers) {
   return FindInTiers(decompiles_, kDecompileKind, &DecodeDecompileArtifact,
-                     key, tier);
+                     key, tier, tiers);
 }
 
 std::shared_ptr<const PartitionArtifact> ArtifactCache::FindPartition(
-    const std::string& key, HitTier* tier) {
+    const std::string& key, HitTier* tier, Tiers tiers) {
   return FindInTiers(partitions_, kPartitionKind, &DecodePartitionArtifact,
-                     key, tier);
+                     key, tier, tiers);
+}
+
+std::shared_ptr<const DecompileArtifact> ArtifactCache::PeekDecompile(
+    const std::string& key) const {
+  return PeekMemory(decompiles_, key);
+}
+
+std::shared_ptr<const PartitionArtifact> ArtifactCache::PeekPartition(
+    const std::string& key) const {
+  return PeekMemory(partitions_, key);
 }
 
 void ArtifactCache::PutDecompile(

@@ -141,13 +141,28 @@ class ArtifactCache {
   /// Two-tier cache persisting under `disk.directory` (empty = memory-only).
   explicit ArtifactCache(DiskStore::Options disk);
 
+  /// Which tiers a Find may consult.
+  enum class Tiers { kAll, kMemoryOnly };
+
   /// nullptr on miss; every call counts toward the stats, and `tier` (when
   /// non-null) reports which tier served it.  Disk hits are promoted into
-  /// the memory tier.
+  /// the memory tier.  A kMemoryOnly lookup never reads the disk and does
+  /// not count its misses: the caller treats those as "not resident", not
+  /// as work to do.
   [[nodiscard]] std::shared_ptr<const DecompileArtifact> FindDecompile(
-      const std::string& key, HitTier* tier = nullptr);
+      const std::string& key, HitTier* tier = nullptr,
+      Tiers tiers = Tiers::kAll);
   [[nodiscard]] std::shared_ptr<const PartitionArtifact> FindPartition(
-      const std::string& key, HitTier* tier = nullptr);
+      const std::string& key, HitTier* tier = nullptr,
+      Tiers tiers = Tiers::kAll);
+
+  /// Memory-tier residency peek: the artifact when `key` is resident, else
+  /// nullptr.  Never counted in the stats or the cache.* counters, never
+  /// reads the disk.
+  [[nodiscard]] std::shared_ptr<const DecompileArtifact> PeekDecompile(
+      const std::string& key) const;
+  [[nodiscard]] std::shared_ptr<const PartitionArtifact> PeekPartition(
+      const std::string& key) const;
 
   /// Publishing a decompile artifact also releases any single-flight
   /// waiters registered for `key` (see LeadDecompile); keys that were never
@@ -204,7 +219,12 @@ class ArtifactCache {
           entries,
       std::string_view kind,
       std::shared_ptr<const Artifact> (*decode)(std::string_view),
-      const std::string& key, HitTier* tier);
+      const std::string& key, HitTier* tier, Tiers tiers);
+  template <typename Artifact>
+  [[nodiscard]] std::shared_ptr<const Artifact> PeekMemory(
+      const std::unordered_map<std::string, std::shared_ptr<const Artifact>>&
+          entries,
+      const std::string& key) const;
   template <typename Artifact>
   void PutInTiers(
       std::unordered_map<std::string, std::shared_ptr<const Artifact>>&

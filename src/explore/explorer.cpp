@@ -107,6 +107,10 @@ ExploreResult Explorer::Run(const ExploreSpec& spec) const {
                out.num_objectives +
            o;
   };
+  // (binary, platform) pair index of point `i`, for pair_decomp_key.
+  const auto pair_of = [&](std::size_t i) {
+    return i / (out.num_strategies * out.num_objectives);
+  };
   for (std::size_t b = 0; b < out.num_binaries; ++b) {
     for (std::size_t p = 0; p < out.num_platforms; ++p) {
       for (std::size_t s = 0; s < out.num_strategies; ++s) {
@@ -190,10 +194,95 @@ ExploreResult Explorer::Run(const ExploreSpec& spec) const {
     spec.progress(progress);
   };
 
-  // ---- Stage A: one profile + decompilation per unique artifact key ------
-  // The key covers binary bytes, pipeline spec, and CPU cycle model: clock
+  // ---- Artifact keys ------------------------------------------------------
+  // Every key the sweep needs is derived here and only here: a decompile
+  // key per (binary, platform) and a partition key per point, empty when
+  // the point is unresolvable (its status says why).  The decompile key
+  // covers binary bytes, pipeline spec, and CPU cycle model: clock
   // frequency and FPGA capacity do not affect cycle counts, so the paper's
   // whole platform grid shares one decompilation per binary.
+  // Objective-insensitive strategies (the paper heuristic) collapse all
+  // objectives onto one partition key, so those sweep points are served by
+  // a single partition.
+  std::vector<std::string> pair_decomp_key(out.num_binaries *
+                                           out.num_platforms);
+  for (std::size_t b = 0; b < out.num_binaries; ++b) {
+    for (std::size_t p = 0; p < out.num_platforms; ++p) {
+      if (spec.binaries[b].binary == nullptr || !platforms[p].has_value()) {
+        continue;
+      }
+      pair_decomp_key[b * out.num_platforms + p] =
+          DecompKey(binary_hashes[b], config_.pipeline,
+                    platforms[p]->cpu.cycle_model,
+                    config_.max_sim_instructions, config_.verify_ir);
+    }
+  }
+  std::vector<std::string> point_keys(num_points);
+  for (std::size_t b = 0; b < out.num_binaries; ++b) {
+    for (std::size_t p = 0; p < out.num_platforms; ++p) {
+      for (std::size_t s = 0; s < out.num_strategies; ++s) {
+        for (std::size_t o = 0; o < out.num_objectives; ++o) {
+          ExplorePoint& point = out.points[point_index(b, p, s, o)];
+          if (spec.binaries[b].binary == nullptr) {
+            point.status = Status::Error(
+                ErrorKind::kMalformedBinary,
+                "null binary: " + spec.binaries[b].name);
+            continue;
+          }
+          if (!platforms[p].has_value()) {
+            point.status = Status::Error(
+                ErrorKind::kUnsupported,
+                "unknown platform: " + spec.platforms[p]);
+            continue;
+          }
+          if (strategies[s] == nullptr) {
+            point.status = Status::Error(
+                ErrorKind::kUnsupported,
+                "unknown strategy: " + spec.strategies[s]);
+            continue;
+          }
+          const std::string_view objective_key =
+              strategies[s]->objective_sensitive()
+                  ? partition::ObjectiveName(spec.objectives[o])
+                  : "objective-insensitive";
+          point_keys[point_index(b, p, s, o)] = PartitionKey(
+              pair_decomp_key[b * out.num_platforms + p], platform_hashes[p],
+              options_hash, spec.strategies[s], objective_key,
+              strategies[s]->OptionsFingerprint(spec.strategy_options));
+        }
+      }
+    }
+  }
+
+  // ---- Memory-only resolve: everything resident, or nothing happens ------
+  // Non-counting peeks first, so a partial hit leaves the cache stats
+  // untouched for the computing sweep the caller falls back to.  Points of
+  // a failed decompile need no partition artifact.
+  const ArtifactCache::Tiers tiers = spec.memory_only
+                                         ? ArtifactCache::Tiers::kMemoryOnly
+                                         : ArtifactCache::Tiers::kAll;
+  if (spec.memory_only) {
+    std::set<std::string> failed_decomps;
+    for (const std::string& key : pair_decomp_key) {
+      if (key.empty()) continue;
+      const auto artifact = cache_->PeekDecompile(key);
+      if (artifact == nullptr) {
+        out.memory_miss = true;
+        return out;
+      }
+      if (!artifact->status.ok()) failed_decomps.insert(key);
+    }
+    for (std::size_t i = 0; i < num_points; ++i) {
+      if (point_keys[i].empty()) continue;
+      if (failed_decomps.count(pair_decomp_key[pair_of(i)]) == 0 &&
+          cache_->PeekPartition(point_keys[i]) == nullptr) {
+        out.memory_miss = true;
+        return out;
+      }
+    }
+  }
+
+  // ---- Stage A: one profile + decompilation per unique artifact key ------
   struct DecompJob {
     std::string key;
     std::size_t binary = 0;
@@ -206,23 +295,14 @@ ExploreResult Explorer::Run(const ExploreSpec& spec) const {
   std::vector<DecompJob> decomp_jobs;
   std::map<std::string, std::shared_ptr<const DecompileArtifact>> decomp_done;
   std::map<std::string, Status> decomp_failed;
-  // decomp key per (binary, platform); empty when unresolvable.
-  std::vector<std::string> pair_decomp_key(out.num_binaries *
-                                           out.num_platforms);
   // First binary observed per decomp key, for program rehydration of
   // summary-only disk hits (any binary with the key works — the key covers
   // the binary hash).
   std::map<std::string, std::size_t> decomp_key_binary;
   for (std::size_t b = 0; b < out.num_binaries; ++b) {
     for (std::size_t p = 0; p < out.num_platforms; ++p) {
-      if (spec.binaries[b].binary == nullptr || !platforms[p].has_value()) {
-        continue;
-      }
-      const std::string key =
-          DecompKey(binary_hashes[b], config_.pipeline,
-                    platforms[p]->cpu.cycle_model,
-                    config_.max_sim_instructions, config_.verify_ir);
-      pair_decomp_key[b * out.num_platforms + p] = key;
+      const std::string& key = pair_decomp_key[b * out.num_platforms + p];
+      if (key.empty()) continue;
       decomp_key_binary.emplace(key, b);
       if (decomp_done.count(key) != 0 || decomp_failed.count(key) != 0) {
         continue;
@@ -232,7 +312,7 @@ ExploreResult Explorer::Run(const ExploreSpec& spec) const {
         continue;
       }
       HitTier tier = HitTier::kMiss;
-      auto cached = cache_->FindDecompile(key, &tier);
+      auto cached = cache_->FindDecompile(key, &tier, tiers);
       if (cached != nullptr) {
         count_hit(tier);
         if (cached->status.ok()) {
@@ -240,6 +320,9 @@ ExploreResult Explorer::Run(const ExploreSpec& spec) const {
         } else {
           decomp_failed.emplace(key, cached->status);
         }
+      } else if (spec.memory_only) {
+        out.memory_miss = true;  // a Clear() raced the probe
+        return out;
       } else {
         ++cache_misses;
         decomp_jobs.push_back({key, b, platforms[p]->cpu.cycle_model,
@@ -344,9 +427,6 @@ ExploreResult Explorer::Run(const ExploreSpec& spec) const {
   }
 
   // ---- Stage B: one partition per unique artifact key --------------------
-  // Objective-insensitive strategies (the paper heuristic) collapse all
-  // objectives onto one key, so those sweep points are served by a single
-  // partition.
   struct PartitionJob {
     std::string key;
     std::size_t binary = 0;
@@ -354,7 +434,6 @@ ExploreResult Explorer::Run(const ExploreSpec& spec) const {
     std::size_t strategy = 0;
     partition::Objective objective = partition::Objective::kSpeedup;
   };
-  std::vector<std::string> point_keys(num_points);
   std::vector<PartitionJob> partition_jobs;
   std::map<std::string, std::shared_ptr<const PartitionArtifact>>
       partition_done;
@@ -365,47 +444,21 @@ ExploreResult Explorer::Run(const ExploreSpec& spec) const {
     for (std::size_t p = 0; p < out.num_platforms; ++p) {
       for (std::size_t s = 0; s < out.num_strategies; ++s) {
         for (std::size_t o = 0; o < out.num_objectives; ++o) {
-          ExplorePoint& point = out.points[point_index(b, p, s, o)];
-          if (spec.binaries[b].binary == nullptr) {
-            point.status = Status::Error(
-                ErrorKind::kMalformedBinary,
-                "null binary: " + spec.binaries[b].name);
-            continue;
-          }
-          if (!platforms[p].has_value()) {
-            point.status = Status::Error(
-                ErrorKind::kUnsupported,
-                "unknown platform: " + spec.platforms[p]);
-            continue;
-          }
-          if (strategies[s] == nullptr) {
-            point.status = Status::Error(
-                ErrorKind::kUnsupported,
-                "unknown strategy: " + spec.strategies[s]);
-            continue;
-          }
-          const std::string& decomp_key =
-              pair_decomp_key[b * out.num_platforms + p];
-          const auto failed = decomp_failed.find(decomp_key);
+          const std::size_t i = point_index(b, p, s, o);
+          const std::string& key = point_keys[i];
+          if (key.empty()) continue;  // unresolvable: status already set
+          const auto failed =
+              decomp_failed.find(pair_decomp_key[b * out.num_platforms + p]);
           if (failed != decomp_failed.end()) {
-            point.status = failed->second;
+            out.points[i].status = failed->second;
             continue;
           }
-          const std::string_view objective_key =
-              strategies[s]->objective_sensitive()
-                  ? partition::ObjectiveName(spec.objectives[o])
-                  : "objective-insensitive";
-          const std::string key = PartitionKey(
-              decomp_key, platform_hashes[p], options_hash,
-              spec.strategies[s], objective_key,
-              strategies[s]->OptionsFingerprint(spec.strategy_options));
-          point_keys[point_index(b, p, s, o)] = key;
           if (partition_queued.count(key) != 0 ||
               partition_cached_keys.count(key) != 0) {
             continue;
           }
           HitTier tier = HitTier::kMiss;
-          auto cached = cache_->FindPartition(key, &tier);
+          auto cached = cache_->FindPartition(key, &tier, tiers);
           if (cached != nullptr) {
             count_hit(tier);
             partition_cached_keys.insert(key);
@@ -414,11 +467,13 @@ ExploreResult Explorer::Run(const ExploreSpec& spec) const {
             } else {
               partition_failed.emplace(key, cached->status);
             }
+          } else if (spec.memory_only) {
+            out.memory_miss = true;  // a Clear() raced the probe
+            return out;
           } else {
             ++cache_misses;
             partition_queued.insert(key);
-            partition_jobs.push_back(
-                {key, b, p, s, spec.objectives[o]});
+            partition_jobs.push_back({key, b, p, s, spec.objectives[o]});
           }
         }
       }
@@ -622,12 +677,7 @@ ExploreResult Explorer::Run(const ExploreSpec& spec) const {
     point.from_cache = partition_cached_keys.count(point_keys[i]) != 0;
     // Stage cost attribution: the job(s) that produced this point's
     // artifacts this sweep (absent key = served from cache = 0 ms).
-    const std::size_t b = i / (out.num_platforms * out.num_strategies *
-                               out.num_objectives);
-    const std::size_t p =
-        (i / (out.num_strategies * out.num_objectives)) % out.num_platforms;
-    if (const auto ms =
-            decomp_ms_by_key.find(pair_decomp_key[b * out.num_platforms + p]);
+    if (const auto ms = decomp_ms_by_key.find(pair_decomp_key[pair_of(i)]);
         ms != decomp_ms_by_key.end()) {
       point.decompile_ms = ms->second;
     }

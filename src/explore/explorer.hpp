@@ -75,6 +75,12 @@ struct ExploreSpec {
   /// thread-safe.  Unset = zero cost (no call sites fire).  Purely
   /// observational: the report surfaces stay byte-identical either way.
   std::function<void(const ExploreProgress&)> progress;
+  /// Resolve from the memory tier only: when every artifact the sweep needs
+  /// is resident, the result is the same as a normal sweep's; otherwise it
+  /// comes back with `memory_miss` set and nothing computed, no disk read,
+  /// and no cache stat counted.  The serve daemon answers warm requests
+  /// this way without queueing them.
+  bool memory_only = false;
 };
 
 /// One (binary, platform, strategy, objective) outcome.
@@ -154,6 +160,9 @@ struct ExploreResult {
   double decompile_stage_ms = 0.0;
   double synth_stage_ms = 0.0;
   double partition_stage_ms = 0.0;
+  /// A memory_only sweep found an artifact missing from the memory tier;
+  /// the points carry their names only.
+  bool memory_miss = false;
 
   [[nodiscard]] const ExplorePoint& At(std::size_t binary,
                                        std::size_t platform,

@@ -470,4 +470,21 @@ void ScopedSpan::Finish() {
   if (tracer.sampling()) tracer.Record(std::move(span_));
 }
 
+void RecordSpan(std::string_view name, const char* category,
+                std::uint64_t start_ns, std::uint64_t duration_ns) {
+  Tracer& tracer = Tracer::Global();
+  if (!tracer.sampling()) return;
+  Span span;
+  span.name.assign(name);
+  span.category = category;
+  span.start_ns = start_ns;
+  span.duration_ns = duration_ns;
+  span.id = Tracer::NextSpanId();
+  span.tid = Tracer::ThreadOrdinal();
+  const auto& stack = detail::ThreadSpanStack();
+  const std::size_t top = std::min(stack.depth, detail::kMaxSpanDepth);
+  span.parent = top > 0 ? stack.ids[top - 1] : 0;
+  tracer.Record(std::move(span));
+}
+
 }  // namespace b2h::obs

@@ -424,6 +424,12 @@ class ScopedSpan {
   }
   [[nodiscard]] bool armed() const { return armed_; }
 
+  /// Rename the span before it finishes — for speculative sites whose
+  /// outcome decides what the interval was.
+  void Rename(std::string_view name) {
+    if (armed_) span_.name.assign(name);
+  }
+
   /// Finish the span now instead of at scope exit (idempotent); for sites
   /// where the interesting work ends mid-scope.
   void Close() {
@@ -440,5 +446,11 @@ class ScopedSpan {
   bool armed_;
   Span span_;
 };
+
+/// Record an interval that was timed elsewhere (e.g. a scheduler queue
+/// wait) as a finished span of the calling thread, parented like a
+/// ScopedSpan opened here.  Same disabled cost as a ScopedSpan.
+void RecordSpan(std::string_view name, const char* category,
+                std::uint64_t start_ns, std::uint64_t duration_ns);
 
 }  // namespace b2h::obs

@@ -35,7 +35,8 @@
 // The "report" sub-object is DETERMINISTIC — a pure function of the request
 // (ToolchainRun::Json() shape for `partition`, ExploreResult::Json() for
 // `explore`) — while "served" carries volatile delivery metadata (whether
-// the result was coalesced onto an in-flight computation).  Clients
+// the result was coalesced onto an in-flight computation, and whether it
+// was answered inline from the memory tier instead of by a worker).  Clients
 // comparing serial vs. concurrent replays compare "report" bit-for-bit and
 // ignore "served"; the loadgen and the hammer tests rely on that split.
 #pragma once

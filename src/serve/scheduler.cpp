@@ -50,6 +50,7 @@ Scheduler::Outcome Scheduler::Run(const std::string& key,
                                   std::function<JobResult()> work,
                                   int deadline_ms,
                                   const std::function<void()>& poll) {
+  const std::uint64_t submitted_ns = obs::Stopwatch::Now();
   std::unique_lock<std::mutex> lock(mutex_);
   if (stopping_) return {OutcomeCode::kShuttingDown, nullptr, false};
 
@@ -78,19 +79,28 @@ Scheduler::Outcome Scheduler::Run(const std::string& key,
   }
   ++stats_.submitted;
 
+  // Called with the lock held: job->started_ns is written under it.
+  const auto outcome = [&](OutcomeCode code) {
+    const std::uint64_t started =
+        job->started_ns != 0 ? job->started_ns : obs::Stopwatch::Now();
+    if (code == OutcomeCode::kDeadline) ++stats_.deadline_expired;
+    return Outcome{code,
+                   code == OutcomeCode::kDone ? job->result : nullptr,
+                   coalesced,
+                   started > submitted_ns ? started - submitted_ns : 0};
+  };
   const auto finished = [&job] { return job->done; };
   if (poll == nullptr) {
     if (deadline_ms < 0) {
-      done_cv_.wait(lock, finished);
-    } else if (!done_cv_.wait_for(lock,
-                                  std::chrono::milliseconds(deadline_ms),
-                                  finished)) {
+      job->done_cv.wait(lock, finished);
+    } else if (!job->done_cv.wait_for(lock,
+                                      std::chrono::milliseconds(deadline_ms),
+                                      finished)) {
       // The waiter gives up; the job object stays queued/running and will
       // complete into the caches for the next identical request.
-      ++stats_.deadline_expired;
-      return {OutcomeCode::kDeadline, nullptr, coalesced};
+      return outcome(OutcomeCode::kDeadline);
     }
-    return {OutcomeCode::kDone, job->result, coalesced};
+    return outcome(OutcomeCode::kDone);
   }
 
   // Polling wait: wake at least every kPollIntervalMs, run `poll` with the
@@ -103,17 +113,16 @@ Scheduler::Outcome Scheduler::Run(const std::string& key,
     Clock::time_point wake =
         Clock::now() + std::chrono::milliseconds(kPollIntervalMs);
     if (has_deadline && deadline < wake) wake = deadline;
-    done_cv_.wait_until(lock, wake, finished);
+    job->done_cv.wait_until(lock, wake, finished);
     if (job->done) break;
     if (has_deadline && Clock::now() >= deadline) {
-      ++stats_.deadline_expired;
-      return {OutcomeCode::kDeadline, nullptr, coalesced};
+      return outcome(OutcomeCode::kDeadline);
     }
     lock.unlock();
     poll();
     lock.lock();
   }
-  return {OutcomeCode::kDone, job->result, coalesced};
+  return outcome(OutcomeCode::kDone);
 }
 
 void Scheduler::WorkerLoop() {
@@ -126,6 +135,7 @@ void Scheduler::WorkerLoop() {
     QueueMetrics& metrics = QueueMetrics::Get();
     metrics.queue_depth.Set(static_cast<std::int64_t>(queue_.size()));
     metrics.in_flight.Add(1);
+    job->started_ns = obs::Stopwatch::Now();
     lock.unlock();
 
     JobResult result;
@@ -146,7 +156,7 @@ void Scheduler::WorkerLoop() {
     job->done = true;
     in_flight_.erase(job->key);
     ++stats_.executed;
-    done_cv_.notify_all();
+    job->done_cv.notify_all();
   }
 }
 
@@ -164,12 +174,12 @@ void Scheduler::Stop() {
             false, kErrShuttingDown, "server is shutting down", ""});
         job->done = true;
         in_flight_.erase(job->key);
+        job->done_cv.notify_all();
       }
       queue_.clear();
       QueueMetrics::Get().queue_depth.Set(0);
     }
     queue_cv_.notify_all();
-    done_cv_.notify_all();
   }
   for (std::thread& worker : workers_) {
     if (worker.joinable()) worker.join();

@@ -24,6 +24,7 @@
 
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -64,6 +65,9 @@ class Scheduler {
     OutcomeCode code = OutcomeCode::kDone;
     std::shared_ptr<const JobResult> result;  ///< set when kDone
     bool coalesced = false;  ///< attached to an already-submitted job
+    /// This waiter's submit-to-start wait: 0 when it attached to a running
+    /// job, the whole wait when the job never started (deadline, Stop()).
+    std::uint64_t queue_wait_ns = 0;
   };
 
   struct Stats {
@@ -112,6 +116,10 @@ class Scheduler {
     std::function<JobResult()> work;
     std::shared_ptr<const JobResult> result;
     bool done = false;
+    std::uint64_t started_ns = 0;  ///< obs::Stopwatch::Now() at start
+    /// Signalled (under mutex_) when `done` flips, waking only the
+    /// connections waiting on THIS job.
+    std::condition_variable done_cv;
   };
 
   void WorkerLoop();
@@ -119,7 +127,6 @@ class Scheduler {
   const Options options_;
   mutable std::mutex mutex_;
   std::condition_variable queue_cv_;  ///< workers: queue non-empty / stop
-  std::condition_variable done_cv_;   ///< waiters: some job finished
   std::deque<std::shared_ptr<Job>> queue_;
   std::unordered_map<std::string, std::shared_ptr<Job>> in_flight_;
   Stats stats_;

@@ -81,6 +81,19 @@ ProgressState ToProgressState(const explore::ExploreProgress& progress) {
   return state;
 }
 
+/// The deterministic reply to a work request, from its sweep result.
+JobResult WorkReport(const Request& request,
+                     const explore::ExploreResult& result) {
+  if (request.kind == RequestKind::kExplore) {
+    return {true, "", "", result.Json()};
+  }
+  const explore::ExplorePoint& point = result.At(0, 0, 0, 0);
+  if (!point.status.ok()) {
+    return {false, kErrFlowFailed, point.status.message(), ""};
+  }
+  return {true, "", "", PartitionReportJson(point)};
+}
+
 }  // namespace
 
 Server::Server(Options options)
@@ -102,7 +115,10 @@ Server::Server(Options options)
       partition_latency_ms_(obs::Registry::Global().histogram(
           "serve.latency_ms.partition")),
       explore_latency_ms_(obs::Registry::Global().histogram(
-          "serve.latency_ms.explore")) {
+          "serve.latency_ms.explore")),
+      inline_hits_(obs::Registry::Global().counter("serve.inline_hits")),
+      queue_wait_ms_(obs::Registry::Global().histogram(
+          "serve.queue_wait_ms")) {
   // A fresh daemon starts its serve.* instruments at zero — the behavior of
   // the per-instance counters this registry family replaced.  The registry
   // is process-global, but a process runs one Server (b2h-serve) and the
@@ -117,6 +133,8 @@ Server::Server(Options options)
   connections_open_.Reset();
   partition_latency_ms_.Reset();
   explore_latency_ms_.Reset();
+  inline_hits_.Reset();
+  queue_wait_ms_.Reset();
   toolchain_.WithThreads(options_.toolchain_threads);
   if (!options_.cache_dir.empty()) {
     toolchain_.WithCacheDir(options_.cache_dir);
@@ -506,11 +524,29 @@ std::string Server::HandleWork(const Request& request, const std::string& corr,
 
   const std::string key = RequestKey(request);
   request_log_.Begin(corr, key, RequestKindName(request.kind));
+  obs::Histogram& latency_ms = request.kind == RequestKind::kPartition
+                                   ? partition_latency_ms_
+                                   : explore_latency_ms_;
+  const obs::Stopwatch latency;  // queue + coalesce + execute, as the
+                                 // connection thread sees it
+
+  // Warm path: when everything the request needs is already in the memory
+  // tier, answer it on this thread.  No admission, queue or deadline
+  // applies, because there is no work to bound; no progress frames either,
+  // because a hit has no stages.  Any miss (including a key still in
+  // flight) goes through the scheduler below, so coalescing, admission,
+  // deadlines and single-flight decompiles govern every request that works.
+  if (const std::optional<JobResult> hit = ResolveResident(request)) {
+    inline_hits_.Add(1);
+    const double millis = latency.Millis();
+    latency_ms.Observe(millis);
+    return WorkReply(request, corr, *hit,
+                     "{\"coalesced\":false,\"inline\":true}", millis);
+  }
+
   Request job_request = request;  // owned copy; outlives this frame
   obs::ScopedSpan span("serve.dispatch", "serve");
   span.Arg("key", key).Arg("corr", corr);
-  const obs::Stopwatch latency;  // queue + coalesce + execute, as the
-                                 // connection thread sees it
 
   // Progress streaming: a framed client that asked (progress:true) gets
   // board snapshots as interleaved frames while it waits; the poll runs on
@@ -529,127 +565,149 @@ std::string Server::HandleWork(const Request& request, const std::string& corr,
       (void)(*frame_sink)(ProgressFrame(request.id, corr, last_sent));
     };
   }
+  const std::uint64_t submitted_ns = obs::Stopwatch::Now();
   const Scheduler::Outcome outcome = scheduler_.Run(
       key,
       [this, job_request = std::move(job_request), key, corr]() -> JobResult {
-        return job_request.kind == RequestKind::kPartition
-                   ? DoPartition(job_request, key, corr)
-                   : DoExplore(job_request, key, corr);
+        return DoWork(job_request, key, corr);
       },
       request.deadline_ms, poll);
   const double millis = latency.Millis();
-  (request.kind == RequestKind::kPartition ? partition_latency_ms_
-                                           : explore_latency_ms_)
-      .Observe(millis);
+  latency_ms.Observe(millis);
   span.Arg("coalesced", static_cast<int>(outcome.coalesced));
 
   switch (outcome.code) {
     case Scheduler::OutcomeCode::kOverloaded:
-      request_log_.Finish(corr, kErrOverloaded, millis);
-      return ErrorResponse(request.id, kErrOverloaded,
-                           "admission queue is full; retry later", corr);
-    case Scheduler::OutcomeCode::kDeadline:
-      request_log_.Finish(corr, kErrDeadline, millis);
-      return ErrorResponse(request.id, kErrDeadline,
-                           "deadline of " +
-                               std::to_string(request.deadline_ms) +
-                               " ms expired (the computation continues and "
-                               "will be served warm)",
-                           corr);
+      return WorkReply(request, corr,
+                       {false, kErrOverloaded,
+                        "admission queue is full; retry later", ""},
+                       "", millis);
     case Scheduler::OutcomeCode::kShuttingDown:
-      request_log_.Finish(corr, kErrShuttingDown, millis);
-      return ErrorResponse(request.id, kErrShuttingDown,
-                           "server is shutting down", corr);
+      return WorkReply(request, corr,
+                       {false, kErrShuttingDown, "server is shutting down", ""},
+                       "", millis);
+    case Scheduler::OutcomeCode::kDeadline:
     case Scheduler::OutcomeCode::kDone:
       break;
   }
-  const JobResult& result = *outcome.result;
+  // Admitted: how long this reply waited before its job started running.
+  queue_wait_ms_.Observe(static_cast<double>(outcome.queue_wait_ns) / 1e6);
+  obs::RecordSpan("serve.queue_wait", "serve", submitted_ns,
+                  outcome.queue_wait_ns);
+  if (outcome.code == Scheduler::OutcomeCode::kDeadline) {
+    return WorkReply(request, corr,
+                     {false, kErrDeadline,
+                      "deadline of " + std::to_string(request.deadline_ms) +
+                          " ms expired (the computation continues and will "
+                          "be served warm)",
+                      ""},
+                     "", millis);
+  }
+  return WorkReply(request, corr, *outcome.result,
+                   outcome.coalesced ? "{\"coalesced\":true,\"inline\":false}"
+                                     : "{\"coalesced\":false,\"inline\":false}",
+                   millis);
+}
+
+std::string Server::WorkReply(const Request& request, const std::string& corr,
+                              const JobResult& result,
+                              std::string_view served_json, double millis) {
   if (!result.ok) {
     request_log_.Finish(corr, result.error_code, millis);
     return ErrorResponse(request.id, result.error_code, result.error_message,
                          corr);
   }
   request_log_.Finish(corr, "ok", millis);
-  return OkResponse(request.id, result.report,
-                    outcome.coalesced ? "{\"coalesced\":true}"
-                                      : "{\"coalesced\":false}",
-                    corr);
+  return OkResponse(request.id, result.report, served_json, corr);
 }
 
-JobResult Server::DoPartition(Request request, std::string key,
-                              std::string corr) {
-  obs::ScopedSpan span("serve.partition", "serve");
-  span.Arg("benchmark", request.benchmark)
-      .Arg("platform", request.platform)
-      .Arg("strategy", request.strategy)
-      .Arg("corr", corr);
-  auto binary = ObtainBinary(request.benchmark, request.opt_level);
-  if (!binary.ok()) {
-    return {false, kErrInternal, binary.status().message(), ""};
+std::optional<JobResult> Server::ResolveResident(const Request& request) {
+  Result<explore::ExploreSpec> spec = WorkSpec(request, /*compile=*/false);
+  if (!spec.ok()) return std::nullopt;  // a benchmark is not built yet
+  obs::ScopedSpan span("serve.warm_hit", "serve");
+  spec.value().memory_only = true;
+  const explore::ExploreResult result = toolchain_.Explore(spec.value());
+  if (result.memory_miss) {
+    span.Rename("serve.warm_miss");
+    return std::nullopt;
   }
-  explore::ExploreSpec spec;
-  spec.binaries = {{request.benchmark, binary.value()}};
-  spec.platforms = {request.platform};
-  spec.strategies = {request.strategy};
-  spec.objectives = {*partition::ParseObjective(request.objective)};
-  spec.strategy_options.seed = request.seed;
-  spec.strategy_options.annealing_iterations = request.annealing_iterations;
-  spec.progress = [this, &key](const explore::ExploreProgress& progress) {
-    progress_.Update(key, ToProgressState(progress));
-  };
+  return WorkReport(request, result);
+}
 
+JobResult Server::DoWork(const Request& request, const std::string& key,
+                         const std::string& corr) {
+  const bool partition = request.kind == RequestKind::kPartition;
+  obs::ScopedSpan span(partition ? "serve.partition" : "serve.explore",
+                       "serve");
+  if (partition) {
+    span.Arg("benchmark", request.benchmark)
+        .Arg("platform", request.platform)
+        .Arg("strategy", request.strategy);
+  } else {
+    span.Arg("benchmarks",
+             static_cast<std::uint64_t>(request.benchmarks.size()))
+        .Arg("platforms", static_cast<std::uint64_t>(request.platforms.size()))
+        .Arg("strategies",
+             static_cast<std::uint64_t>(request.strategies.size()));
+  }
+  span.Arg("corr", corr);
+  Result<explore::ExploreSpec> spec = WorkSpec(request, /*compile=*/true);
+  if (!spec.ok()) return {false, kErrInternal, spec.status().message(), ""};
+  spec.value().progress =
+      [this, &key](const explore::ExploreProgress& progress) {
+        progress_.Update(key, ToProgressState(progress));
+      };
   // Through Explore — not Run — so the request hits the shared artifact
   // cache and candidate pool; a repeat of this request does zero work.
-  const explore::ExploreResult result = toolchain_.Explore(spec);
+  const explore::ExploreResult result = toolchain_.Explore(spec.value());
   AccumulateWork(result);
-  const explore::ExplorePoint& point = result.At(0, 0, 0, 0);
-  if (!point.status.ok()) {
-    return {false, kErrFlowFailed, point.status.message(), ""};
-  }
-  return {true, "", "", PartitionReportJson(point)};
+  return WorkReport(request, result);
 }
 
-JobResult Server::DoExplore(Request request, std::string key,
-                            std::string corr) {
-  obs::ScopedSpan span("serve.explore", "serve");
-  span.Arg("benchmarks", static_cast<std::uint64_t>(request.benchmarks.size()))
-      .Arg("platforms", static_cast<std::uint64_t>(request.platforms.size()))
-      .Arg("strategies",
-           static_cast<std::uint64_t>(request.strategies.size()))
-      .Arg("corr", corr);
+Result<explore::ExploreSpec> Server::WorkSpec(const Request& request,
+                                              bool compile) {
+  const bool partition = request.kind == RequestKind::kPartition;
   explore::ExploreSpec spec;
-  spec.binaries.reserve(request.benchmarks.size());
-  for (const std::string& benchmark : request.benchmarks) {
-    auto binary = ObtainBinary(benchmark, request.opt_level);
-    if (!binary.ok()) {
-      return {false, kErrInternal, binary.status().message(), ""};
+  const auto add_binary = [&](const std::string& benchmark) -> Status {
+    auto binary = ObtainBinary(benchmark, request.opt_level, compile);
+    if (!binary.ok()) return binary.status();
+    spec.binaries.push_back({benchmark, std::move(binary).take()});
+    return Status::Ok();
+  };
+  if (partition) {
+    if (Status status = add_binary(request.benchmark); !status.ok()) {
+      return status;
     }
-    spec.binaries.push_back({benchmark, binary.value()});
-  }
-  spec.platforms = request.platforms;
-  spec.strategies = request.strategies;
-  spec.objectives.clear();
-  for (const std::string& objective : request.objectives) {
-    spec.objectives.push_back(*partition::ParseObjective(objective));
+    spec.platforms = {request.platform};
+    spec.strategies = {request.strategy};
+    spec.objectives = {*partition::ParseObjective(request.objective)};
+  } else {
+    spec.binaries.reserve(request.benchmarks.size());
+    for (const std::string& benchmark : request.benchmarks) {
+      if (Status status = add_binary(benchmark); !status.ok()) return status;
+    }
+    spec.platforms = request.platforms;
+    spec.strategies = request.strategies;
+    spec.objectives.clear();
+    for (const std::string& objective : request.objectives) {
+      spec.objectives.push_back(*partition::ParseObjective(objective));
+    }
   }
   spec.strategy_options.seed = request.seed;
   spec.strategy_options.annealing_iterations = request.annealing_iterations;
-  spec.progress = [this, &key](const explore::ExploreProgress& progress) {
-    progress_.Update(key, ToProgressState(progress));
-  };
-
-  const explore::ExploreResult result = toolchain_.Explore(spec);
-  AccumulateWork(result);
-  return {true, "", "", result.Json()};
+  return spec;
 }
 
 Result<std::shared_ptr<const mips::SoftBinary>> Server::ObtainBinary(
-    const std::string& benchmark, int opt_level) {
+    const std::string& benchmark, int opt_level, bool compile) {
   const std::string key = benchmark + "@O" + std::to_string(opt_level);
   {
     const std::lock_guard<std::mutex> lock(binaries_mutex_);
     const auto it = binaries_.find(key);
     if (it != binaries_.end()) return it->second;
+  }
+  if (!compile) {
+    return Status::Error(ErrorKind::kResource, key + " is not built yet");
   }
   const suite::Benchmark* bench = suite::FindBenchmark(benchmark);
   if (bench == nullptr) {
@@ -732,6 +790,7 @@ std::string Server::StatsJson() const {
       << ",\"connections_open\":" << connections_open_.Value()
       << ",\"queue_depth\":" << registry.gauge("serve.queue_depth").Value()
       << ",\"in_flight\":" << registry.gauge("serve.in_flight").Value()
+      << ",\"inline_hits\":" << inline_hits_.Value()
       << ",\"scheduler\":{\"submitted\":" << scheduler.submitted
       << ",\"executed\":" << scheduler.executed
       << ",\"coalesced\":" << scheduler.coalesced

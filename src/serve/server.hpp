@@ -15,8 +15,10 @@
 //                    long-lived; a thread per connection is the simple
 //                    correct choice at this scale).
 //   connection threads — frame/parse/validate requests, answer cheap kinds
-//                    (ping/stats/shutdown) inline, and block on the
-//                    Scheduler for heavy kinds (partition/explore).
+//                    (ping/stats/shutdown) inline, answer work requests
+//                    whose artifacts are all in the memory tier inline
+//                    too (a cache hit does no work), and block on the
+//                    Scheduler for the rest of partition/explore.
 //   scheduler workers — run the toolchain work, bounded and coalesced
 //                    (serve/scheduler.hpp).
 //
@@ -33,7 +35,9 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -116,14 +120,32 @@ class Server {
   [[nodiscard]] std::string HandleWork(const Request& request,
                                        const std::string& corr,
                                        const FrameSink* frame_sink);
-  [[nodiscard]] JobResult DoPartition(Request request, std::string key,
-                                      std::string corr);
-  [[nodiscard]] JobResult DoExplore(Request request, std::string key,
-                                    std::string corr);
+  /// Logs and envelopes a work result or refusal (`served_json` is the
+  /// volatile delivery slot of an ok reply).
+  [[nodiscard]] std::string WorkReply(const Request& request,
+                                      const std::string& corr,
+                                      const JobResult& result,
+                                      std::string_view served_json,
+                                      double millis);
+  /// The warm path: the request's reply when its binaries and every
+  /// artifact it needs are resident in memory; nullopt (having computed,
+  /// counted and read nothing) otherwise.
+  [[nodiscard]] std::optional<JobResult> ResolveResident(
+      const Request& request);
+  /// The scheduled path: compiles, computes and caches whatever is missing.
+  [[nodiscard]] JobResult DoWork(const Request& request,
+                                 const std::string& key,
+                                 const std::string& corr);
+  /// The ExploreSpec a work request names (one grid point for
+  /// `partition`), shared by both paths.  Without `compile` a benchmark
+  /// that is not built yet is an error.
+  [[nodiscard]] Result<explore::ExploreSpec> WorkSpec(const Request& request,
+                                                      bool compile);
 
-  /// Compile-once benchmark binary cache (keyed bench + opt level).
+  /// Compile-once benchmark binary cache (keyed bench + opt level); without
+  /// `compile` only an already-built binary is returned.
   [[nodiscard]] Result<std::shared_ptr<const mips::SoftBinary>> ObtainBinary(
-      const std::string& benchmark, int opt_level);
+      const std::string& benchmark, int opt_level, bool compile);
 
   /// Registry-existence validation shared by partition and explore
   /// requests; empty code on success.
@@ -171,6 +193,10 @@ class Server {
   obs::Gauge& connections_open_;
   obs::Histogram& partition_latency_ms_;
   obs::Histogram& explore_latency_ms_;
+  // Warm requests answered on their connection thread, and the
+  // submit-to-start wait of the scheduled ones.
+  obs::Counter& inline_hits_;
+  obs::Histogram& queue_wait_ms_;
 };
 
 }  // namespace b2h::serve

@@ -36,49 +36,55 @@ bool FillSockaddr(const std::string& path, sockaddr_un* addr,
 
 enum class IoStatus { kOk, kEof, kTimeout, kError };
 
-/// Read exactly `size` bytes; respects an optional absolute deadline.
-IoStatus ReadExact(int fd, void* buffer, std::size_t size,
-                   const Clock::time_point* deadline) {
-  auto* out = static_cast<char*>(buffer);
-  std::size_t done = 0;
-  while (done < size) {
-    int timeout_ms = -1;
-    if (deadline != nullptr) {
-      const auto remaining = std::chrono::duration_cast<
-          std::chrono::milliseconds>(*deadline - Clock::now()).count();
-      if (remaining <= 0) return IoStatus::kTimeout;
-      timeout_ms = static_cast<int>(remaining);
-    }
+/// How long a peer may go silent in the middle of a frame before it is
+/// treated as dead (the read then fails as kTruncated).  Bounds how long a
+/// stalled sender can pin a server connection thread past shutdown.
+constexpr int kMidFrameStallMs = 5000;
+
+/// Wait until `fd` is readable (or hung up) for at most `timeout_ms`
+/// (< 0 = forever).
+IoStatus WaitReadable(int fd, int timeout_ms) {
+  const Clock::time_point deadline =
+      Clock::now() + std::chrono::milliseconds(timeout_ms);
+  while (true) {
+    // Round the remaining time UP: a truncated sub-millisecond remainder
+    // would turn into a zero-timeout poll that gives up early.
+    const auto remaining_us = std::chrono::duration_cast<
+        std::chrono::microseconds>(deadline - Clock::now()).count();
+    const int wait_ms =
+        timeout_ms < 0 ? -1
+        : remaining_us > 0 ? static_cast<int>((remaining_us + 999) / 1000)
+                           : 0;
     pollfd pfd{fd, POLLIN, 0};
-    const int polled = ::poll(&pfd, 1, timeout_ms);
+    const int polled = ::poll(&pfd, 1, wait_ms);
+    if (polled > 0) return IoStatus::kOk;
     if (polled == 0) return IoStatus::kTimeout;
-    if (polled < 0) {
-      if (errno == EINTR) continue;
-      return IoStatus::kError;
-    }
-    const ssize_t n = ::recv(fd, out + done, size - done, 0);
-    if (n == 0) return IoStatus::kEof;
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN) continue;
-      return IoStatus::kError;
-    }
-    done += static_cast<std::size_t>(n);
+    if (errno != EINTR) return IoStatus::kError;
   }
-  return IoStatus::kOk;
 }
 
-bool WriteExact(int fd, const void* buffer, std::size_t size) {
-  const auto* in = static_cast<const char*>(buffer);
-  std::size_t done = 0;
-  while (done < size) {
-    const ssize_t n = ::send(fd, in + done, size - done, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN) continue;
-      return false;
+/// Read exactly `size` bytes; `*done` counts the bytes delivered.  kTimeout
+/// when the peer sends nothing for kMidFrameStallMs.  Takes what is
+/// already buffered without a poll, so a frame that has arrived costs one
+/// recv per part.
+IoStatus ReadExact(int fd, void* buffer, std::size_t size, std::size_t* done) {
+  auto* out = static_cast<char*>(buffer);
+  *done = 0;
+  while (*done < size) {
+    const ssize_t n = ::recv(fd, out + *done, size - *done, MSG_DONTWAIT);
+    if (n > 0) {
+      *done += static_cast<std::size_t>(n);
+      continue;
     }
-    done += static_cast<std::size_t>(n);
+    if (n == 0) return IoStatus::kEof;
+    if (errno == EINTR) continue;
+    if (errno != EAGAIN && errno != EWOULDBLOCK) return IoStatus::kError;
+    pollfd pfd{fd, POLLIN, 0};
+    const int polled = ::poll(&pfd, 1, kMidFrameStallMs);
+    if (polled == 0) return IoStatus::kTimeout;
+    if (polled < 0 && errno != EINTR) return IoStatus::kError;
   }
-  return true;
+  return IoStatus::kOk;
 }
 
 }  // namespace
@@ -140,23 +146,26 @@ int ConnectUnix(const std::string& path, std::string* error) {
 
 FrameStatus ReadFrame(int fd, std::string* payload,
                       std::uint32_t max_frame_bytes, int timeout_ms) {
-  Clock::time_point deadline_storage;
-  const Clock::time_point* deadline = nullptr;
-  if (timeout_ms >= 0) {
-    deadline_storage = Clock::now() + std::chrono::milliseconds(timeout_ms);
-    deadline = &deadline_storage;
+  // The timeout bounds only the wait for the frame's first byte.  Once a
+  // byte has arrived the frame is read to its end: giving up mid-frame
+  // would leave the rest of it in the stream, and the next read would take
+  // payload bytes for a length prefix.
+  switch (WaitReadable(fd, timeout_ms)) {
+    case IoStatus::kOk: break;
+    case IoStatus::kTimeout: return FrameStatus::kTimeout;
+    case IoStatus::kEof:
+    case IoStatus::kError: return FrameStatus::kError;
   }
 
   unsigned char prefix[4];
-  switch (ReadExact(fd, prefix, sizeof prefix, deadline)) {
+  std::size_t done = 0;
+  switch (ReadExact(fd, prefix, sizeof prefix, &done)) {
     case IoStatus::kOk: break;
     case IoStatus::kEof:
-      // EOF exactly on a frame boundary is a clean close; mid-prefix is a
-      // truncation.  ReadExact cannot distinguish, so probe: a zero `done`
-      // is indistinguishable here — treat any EOF in the prefix as kClosed
-      // (the peer sent no usable frame either way).
-      return FrameStatus::kClosed;
-    case IoStatus::kTimeout: return FrameStatus::kTimeout;
+      // EOF on a frame boundary is a clean close; inside the prefix it is
+      // a truncation.
+      return done == 0 ? FrameStatus::kClosed : FrameStatus::kTruncated;
+    case IoStatus::kTimeout: return FrameStatus::kTruncated;
     case IoStatus::kError: return FrameStatus::kError;
   }
   const std::uint32_t length = static_cast<std::uint32_t>(prefix[0]) |
@@ -166,10 +175,10 @@ FrameStatus ReadFrame(int fd, std::string* payload,
   if (length > max_frame_bytes) return FrameStatus::kOversized;
   payload->resize(length);
   if (length == 0) return FrameStatus::kOk;
-  switch (ReadExact(fd, payload->data(), length, deadline)) {
+  switch (ReadExact(fd, payload->data(), length, &done)) {
     case IoStatus::kOk: return FrameStatus::kOk;
-    case IoStatus::kEof: return FrameStatus::kTruncated;
-    case IoStatus::kTimeout: return FrameStatus::kTimeout;
+    case IoStatus::kEof:
+    case IoStatus::kTimeout: return FrameStatus::kTruncated;
     case IoStatus::kError: return FrameStatus::kError;
   }
   return FrameStatus::kError;

@@ -9,8 +9,10 @@
 // that connection — regression-tested in test_serve).
 //
 // All helpers are EINTR-safe, handle short reads/writes, and never raise
-// SIGPIPE (sends use MSG_NOSIGNAL).  Read timeouts poll() first so a
-// deadline-carrying client can give up without wedging on a dead peer.
+// SIGPIPE (sends use MSG_NOSIGNAL).  A read timeout bounds the wait for a
+// frame to START, so a deadline-carrying client can give up on a silent
+// peer; a frame that has started is always read to its end (or reported
+// truncated), never abandoned halfway with the stream out of sync.
 #pragma once
 
 #include <cstdint>
@@ -27,9 +29,9 @@ inline constexpr std::uint32_t kDefaultMaxFrameBytes = 8u << 20;
 enum class FrameStatus {
   kOk,         ///< one complete frame delivered
   kClosed,     ///< clean EOF before any frame byte (peer hung up)
-  kTruncated,  ///< EOF mid-frame (peer died while sending)
+  kTruncated,  ///< EOF or a long stall mid-frame (peer died while sending)
   kOversized,  ///< length prefix beyond the cap; stream no longer in sync
-  kTimeout,    ///< poll timeout expired before a complete frame
+  kTimeout,    ///< no frame byte arrived within the timeout
   kError,      ///< errno-level failure
 };
 
@@ -45,7 +47,9 @@ enum class FrameStatus {
 /// Connect to a unix socket.  Returns the fd, or -1 with `*error` set.
 [[nodiscard]] int ConnectUnix(const std::string& path, std::string* error);
 
-/// Read one frame into `*payload`.  `timeout_ms < 0` blocks indefinitely.
+/// Read one frame into `*payload`.  `timeout_ms` bounds the wait for the
+/// frame's first byte (< 0 blocks indefinitely); once a byte has arrived
+/// the result is kOk, kTruncated or kError, never kTimeout.
 /// On kOversized the prefix was consumed but the payload was not — the
 /// stream is out of sync and the connection should be closed after any
 /// error reply.

@@ -477,6 +477,58 @@ TEST(Explore, DiskCacheRehydratesOnlyWhatNewWorkNeeds) {
   EXPECT_EQ(partial.Report(), replay.Report());
 }
 
+// Memory-only resolve (the serve daemon's warm path).  An artifact that is
+// only on disk is a miss that reads, promotes and counts nothing; once
+// everything is resident the result equals a computing sweep's and each
+// hit is counted once.  switch01's cached CDFG failure is resident without
+// partition artifacts, which the resolve must accept.
+TEST(Explore, MemoryOnlyResolveNeverComputesOrReadsDisk) {
+  TempCacheDir dir;
+  ExploreSpec spec;
+  spec.binaries = {{"crc", BuildBench("crc")},
+                   {"switch01", BuildBench("switch01")}};  // CDFG failure
+  spec.platforms = {"mips200-xc2v1000"};
+  spec.strategies = {"paper-greedy", "knapsack-optimal"};
+  Toolchain writer;
+  writer.WithCacheDir(dir.path);
+  const ExploreResult computed = writer.Explore(spec);
+
+  Toolchain reader;
+  reader.WithCacheDir(dir.path);
+  ExploreSpec memory_only = spec;
+  memory_only.memory_only = true;
+  const ExploreResult disk_only = reader.Explore(memory_only);
+  EXPECT_TRUE(disk_only.memory_miss);
+  EXPECT_EQ(disk_only.simulations_run + disk_only.decompilations_run +
+                disk_only.partitions_run,
+            0u);
+  const explore::ArtifactCache::Stats untouched = reader.CacheStats();
+  EXPECT_EQ(untouched.hits() + untouched.misses, 0u);
+  EXPECT_EQ(untouched.entries, 0u);  // nothing promoted from disk
+
+  const ExploreResult loaded = reader.Explore(spec);  // now resident
+  const explore::ArtifactCache::Stats before = reader.CacheStats();
+  const ExploreResult hit = reader.Explore(memory_only);
+  EXPECT_FALSE(hit.memory_miss);
+  EXPECT_EQ(hit.Json(), computed.Json());
+  EXPECT_EQ(hit.cache_misses + hit.cache_disk_hits, 0u);
+  EXPECT_EQ(hit.cache_memory_hits, loaded.cache_hits);
+  const explore::ArtifactCache::Stats after = reader.CacheStats();
+  EXPECT_EQ(after.memory_hits - before.memory_hits, hit.cache_memory_hits);
+  EXPECT_EQ(after.disk_hits, before.disk_hits);
+  EXPECT_EQ(after.misses, before.misses);
+
+  // A partial hit (one strategy never computed) stops without counting.
+  memory_only.strategies.push_back("annealing");
+  const ExploreResult partial = reader.Explore(memory_only);
+  EXPECT_TRUE(partial.memory_miss);
+  EXPECT_EQ(partial.partitions_run, 0u);
+  const explore::ArtifactCache::Stats unchanged = reader.CacheStats();
+  EXPECT_EQ(unchanged.memory_hits, after.memory_hits);
+  EXPECT_EQ(unchanged.disk_hits, after.disk_hits);
+  EXPECT_EQ(unchanged.misses, after.misses);
+}
+
 // B2H_CACHE_DIR plumbing: the environment variable gives every Toolchain a
 // disk-backed cache and overrides WithCacheDir's configured directory.
 TEST(Explore, CacheDirEnvironmentOverride) {

@@ -28,6 +28,7 @@
 #include "serve/scheduler.hpp"
 #include "suite/runner.hpp"
 #include "suite/suite.hpp"
+#include "support/http.hpp"
 #include "support/json_parse.hpp"
 #include "support/schema.hpp"
 #include "support/socket.hpp"
@@ -175,6 +176,32 @@ TEST(Framing, ReportsCleanCloseAndTimeout) {
     EXPECT_EQ(support::ReadFrame(pair.fd[1], &payload, 1 << 20, 50),
               FrameStatus::kTimeout);
   }
+}
+
+// A frame whose prefix beats the read deadline but whose payload arrives
+// after it must still be delivered whole: abandoning it halfway would leave
+// the payload in the stream to be misread as the next length prefix.
+TEST(Framing, FinishesAFrameThatStartedBeforeTheDeadline) {
+  SocketPair pair;
+  const std::string delayed = "payload sent after the read deadline";
+  const unsigned char prefix[4] = {
+      static_cast<unsigned char>(delayed.size()), 0, 0, 0};
+  ASSERT_EQ(::send(pair.fd[0], prefix, 4, 0), 4);
+  std::thread late_writer([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(150));
+    EXPECT_EQ(::send(pair.fd[0], delayed.data(), delayed.size(), 0),
+              static_cast<ssize_t>(delayed.size()));
+    EXPECT_TRUE(support::WriteFrame(pair.fd[0], "next frame", 1 << 20));
+  });
+  std::string payload;
+  EXPECT_EQ(support::ReadFrame(pair.fd[1], &payload, 1 << 20, 50),
+            FrameStatus::kOk);
+  EXPECT_EQ(payload, delayed);
+  late_writer.join();
+  // The stream is still in sync: the following frame reads intact.
+  EXPECT_EQ(support::ReadFrame(pair.fd[1], &payload, 1 << 20, 1000),
+            FrameStatus::kOk);
+  EXPECT_EQ(payload, "next frame");
 }
 
 // ---------------------------------------------------------------------------
@@ -450,6 +477,46 @@ TEST(SchedulerTest, StopFailsQueuedJobsAndRefusesNewOnes) {
   EXPECT_EQ(late.code, Scheduler::OutcomeCode::kShuttingDown);
 }
 
+TEST(SchedulerTest, ReportsEachWaitersSubmitToStartWait) {
+  Scheduler scheduler({/*workers=*/1, /*max_queue=*/8});
+  std::atomic<bool> started{false};
+  std::promise<void> release;
+  std::shared_future<void> gate = release.get_future().share();
+
+  Scheduler::Outcome first;
+  std::thread blocker([&] {
+    first = scheduler.Run(
+        "block",
+        [&] {
+          started.store(true);
+          gate.wait();
+          return OkJob("blocked");
+        },
+        -1);
+  });
+  SpinUntil([&] { return started.load(); });
+  // Attached to a running job: nothing left to wait for before the start.
+  Scheduler::Outcome attached;
+  std::thread attacher([&] {
+    attached = scheduler.Run("block", [] { return OkJob("x"); }, -1);
+  });
+  Scheduler::Outcome queued;
+  std::thread waiter(
+      [&] { queued = scheduler.Run("queued", [] { return OkJob("q"); }, -1); });
+  SpinUntil([&] { return scheduler.stats().submitted == 3; });
+  std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  release.set_value();
+  blocker.join();
+  attacher.join();
+  waiter.join();
+
+  EXPECT_EQ(attached.queue_wait_ns, 0u);
+  // Queued behind the blocked worker for at least the sleep above.
+  EXPECT_GE(queued.queue_wait_ns, 50'000'000u);
+  EXPECT_EQ(queued.code, Scheduler::OutcomeCode::kDone);
+  EXPECT_LT(first.queue_wait_ns, queued.queue_wait_ns);
+}
+
 // ---------------------------------------------------------------------------
 // Live daemon helpers
 // ---------------------------------------------------------------------------
@@ -521,9 +588,14 @@ struct WorkCounters {
   double simulations = 0;
   double decompilations = 0;
   double partitions = 0;
+  double scheduler_submitted = 0;
   double scheduler_executed = 0;
   double scheduler_coalesced = 0;
   double scheduler_deadline_expired = 0;
+  double inline_hits = 0;
+  double cache_memory_hits = 0;
+  double cache_disk_hits = 0;
+  double cache_misses = 0;
 };
 
 WorkCounters FetchStats(Client& client) {
@@ -543,7 +615,14 @@ WorkCounters FetchStats(Client& client) {
     counters.decompilations = work->GetNumber("decompilations_run");
     counters.partitions = work->GetNumber("partitions_run");
   }
+  counters.inline_hits = served->GetNumber("inline_hits");
+  if (const JsonValue* cache = served->Find("cache"); cache != nullptr) {
+    counters.cache_memory_hits = cache->GetNumber("memory_hits");
+    counters.cache_disk_hits = cache->GetNumber("disk_hits");
+    counters.cache_misses = cache->GetNumber("misses");
+  }
   if (scheduler != nullptr) {
+    counters.scheduler_submitted = scheduler->GetNumber("submitted");
     counters.scheduler_executed = scheduler->GetNumber("executed");
     counters.scheduler_coalesced = scheduler->GetNumber("coalesced");
     counters.scheduler_deadline_expired =
@@ -762,6 +841,269 @@ TEST(ServeDaemon, WarmRepeatDoesZeroWorkAndReportsIdentically) {
   EXPECT_EQ(after_second.simulations, 1.0);
   EXPECT_EQ(after_second.decompilations, 1.0);
   EXPECT_EQ(after_second.partitions, 1.0);
+}
+
+/// The volatile `served.inline` flag of a work reply.
+bool ServedInline(const std::string& response) {
+  const JsonValue parsed = MustParse(response);
+  const JsonValue* served = parsed.Find("served");
+  EXPECT_NE(served, nullptr) << response;
+  EXPECT_NE(served == nullptr ? nullptr : served->Find("inline"), nullptr)
+      << response;
+  return served != nullptr && served->GetBool("inline", false);
+}
+
+TEST(ServeWarmPath, WarmRepeatIsServedInlineWithIdenticalReports) {
+  TempDir scratch;
+  Server::Options options{scratch.path + "/serve.sock"};
+  options.http_port = 0;
+  ServerHarness harness(options);
+  ASSERT_TRUE(harness.Start());
+  const auto port = static_cast<std::uint16_t>(harness.server.http_port());
+
+  Client client = MustConnect(options.socket_path);
+  const std::string partition = PartitionRequest("crc", "paper-greedy");
+  const std::string explore =
+      R"({"schema":1,"kind":"explore","benchmarks":["crc"],)"
+      R"("strategies":["paper-greedy","knapsack-optimal"]})";
+  for (const std::string& request : {partition, explore}) {
+    const std::string first = Call(client, request);
+    ASSERT_TRUE(MustParse(first).GetBool("ok", false)) << first;
+    EXPECT_FALSE(ServedInline(first));  // cold: computed by a worker
+    const WorkCounters before = FetchStats(client);
+
+    const std::string framed = Call(client, request);
+    EXPECT_TRUE(ServedInline(framed));
+    EXPECT_EQ(ExtractReport(framed), ExtractReport(first));
+    const WorkCounters after = FetchStats(client);
+    EXPECT_EQ(after.scheduler_submitted, before.scheduler_submitted);
+    EXPECT_EQ(after.inline_hits, before.inline_hits + 1);
+    EXPECT_EQ(after.partitions, before.partitions);
+
+    // The same warm request over HTTP takes the same path.
+    const std::string kind = MustParse(request).GetString("kind");
+    support::HttpResponse http;
+    ASSERT_TRUE(support::HttpCall(port, "POST", "/v1/" + kind, request, &http));
+    EXPECT_EQ(http.status_code, 200);
+    EXPECT_TRUE(ServedInline(http.body));
+    EXPECT_EQ(ExtractReport(http.body), ExtractReport(first));
+    const WorkCounters after_http = FetchStats(client);
+    EXPECT_EQ(after_http.scheduler_submitted, before.scheduler_submitted);
+    EXPECT_EQ(after_http.inline_hits, before.inline_hits + 2);
+  }
+}
+
+// The two paths are told apart in the trace and the registry: a scheduled
+// reply records its queue wait under its dispatch, an inline one a
+// serve.warm_hit under its serve.request, and both feed the per-kind
+// latency histogram.
+TEST(ServeWarmPath, TraceAndMetricsTellInlineFromScheduled) {
+  TempDir scratch;
+  const std::string socket_path = scratch.path + "/serve.sock";
+  ServerHarness harness({socket_path});
+  ASSERT_TRUE(harness.Start());
+
+  Client client = MustConnect(socket_path);
+  const std::string request = PartitionRequest("fir", "paper-greedy");
+  EXPECT_FALSE(ServedInline(Call(client, request)));
+  EXPECT_TRUE(ServedInline(Call(client, request)));
+
+  obs::Registry& registry = obs::Registry::Global();
+  EXPECT_EQ(registry.counter("serve.inline_hits").Value(), 1u);
+  EXPECT_EQ(registry.histogram("serve.queue_wait_ms").Count(), 1u);
+  EXPECT_EQ(registry.histogram("serve.latency_ms.partition").Count(), 2u);
+
+  const std::vector<obs::Span> spans = obs::Tracer::Global().FlightSnapshot();
+  std::map<std::uint64_t, std::string> names;
+  for (const obs::Span& span : spans) names[span.id] = span.name;
+  int warm_hits = 0;
+  int queue_waits = 0;
+  for (const obs::Span& span : spans) {
+    if (span.name == "serve.warm_hit") {
+      ++warm_hits;
+      EXPECT_EQ(names[span.parent], "serve.request");
+    } else if (span.name == "serve.queue_wait") {
+      ++queue_waits;
+      EXPECT_EQ(names[span.parent], "serve.dispatch");
+    }
+  }
+  EXPECT_EQ(warm_hits, 1);
+  EXPECT_EQ(queue_waits, 1);
+}
+
+// A partial hit (decompile resident, partition key cold) goes to the
+// scheduler and computes once, and the memory-tier probe in front of it
+// leaves no trace in the cache stats: they match a plain local sweep of the
+// same two requests.
+TEST(ServeWarmPath, PartialHitFallsThroughWithoutTouchingCacheStats) {
+  TempDir scratch;
+  const std::string socket_path = scratch.path + "/serve.sock";
+  ServerHarness harness({socket_path});
+  ASSERT_TRUE(harness.Start());
+
+  Client client = MustConnect(socket_path);
+  const std::string first =
+      Call(client, PartitionRequest("crc", "paper-greedy"));
+  ASSERT_TRUE(MustParse(first).GetBool("ok", false)) << first;
+  const WorkCounters primed = FetchStats(client);
+  const std::string second =
+      Call(client, PartitionRequest("crc", "knapsack-optimal"));
+  ASSERT_TRUE(MustParse(second).GetBool("ok", false)) << second;
+  EXPECT_FALSE(ServedInline(second));
+  const WorkCounters after = FetchStats(client);
+  EXPECT_EQ(after.scheduler_submitted, primed.scheduler_submitted + 1);
+  EXPECT_EQ(after.scheduler_executed, primed.scheduler_executed + 1);
+  EXPECT_EQ(after.inline_hits, primed.inline_hits);
+  EXPECT_EQ(after.decompilations, primed.decompilations);  // reused
+  EXPECT_EQ(after.partitions, primed.partitions + 1);      // computed once
+
+  const suite::Benchmark* bench = suite::FindBenchmark("crc");
+  ASSERT_NE(bench, nullptr);
+  Result<mips::SoftBinary> built = suite::BuildBinary(*bench, 1);
+  ASSERT_TRUE(built.ok()) << built.status().message();
+  explore::ExploreSpec spec;
+  spec.binaries.push_back(
+      {"crc",
+       std::make_shared<const mips::SoftBinary>(std::move(built).take())});
+  spec.platforms = {"mips200-xc2v1000"};
+  Toolchain local;
+  local.WithThreads(1);
+  for (const char* strategy : {"paper-greedy", "knapsack-optimal"}) {
+    spec.strategies = {strategy};
+    (void)local.Explore(spec);
+  }
+  const explore::ArtifactCache::Stats expected = local.CacheStats();
+  EXPECT_EQ(after.cache_memory_hits, static_cast<double>(expected.memory_hits));
+  EXPECT_EQ(after.cache_disk_hits, static_cast<double>(expected.disk_hits));
+  EXPECT_EQ(after.cache_misses, static_cast<double>(expected.misses));
+}
+
+// Hits do no work, so they bypass admission: with the only worker busy and
+// the queue full, a novel request is refused while a warm one is answered.
+TEST(ServeWarmPath, WarmHitIsAnsweredWhileWorkerBusyAndQueueFull) {
+  TempDir scratch;
+  Server::Options options{scratch.path + "/serve.sock"};
+  options.workers = 1;
+  options.max_queue = 1;
+  ServerHarness harness(options);
+  ASSERT_TRUE(harness.Start());
+
+  Client client = MustConnect(options.socket_path);
+  const std::string warm = PartitionRequest("crc", "paper-greedy");
+  ASSERT_TRUE(MustParse(Call(client, warm)).GetBool("ok", false));
+
+  const auto gauge = [&](const char* name) {
+    const JsonValue stats =
+        MustParse(Call(client, R"({"schema":1,"kind":"stats"})"));
+    const JsonValue* served = stats.Find("served");
+    return served != nullptr ? served->GetNumber(name) : -1.0;
+  };
+  // Occupy the worker with a long annealing run...
+  std::thread busy([&] {
+    Client own = MustConnect(options.socket_path);
+    (void)Call(own, PartitionRequest("crc", "annealing", /*seed=*/31,
+                                     /*iterations=*/2000000));
+  });
+  SpinUntil([&] { return gauge("in_flight") == 1.0; });
+  // ...and fill the one queue slot behind it.
+  std::thread queued([&] {
+    Client own = MustConnect(options.socket_path);
+    (void)Call(own, PartitionRequest("crc", "annealing", /*seed=*/32));
+  });
+  SpinUntil([&] { return gauge("queue_depth") == 1.0; });
+
+  ExpectErrorCode(Call(client, PartitionRequest("crc", "annealing", 33)),
+                  serve::kErrOverloaded);
+  const std::string hit = Call(client, warm);
+  EXPECT_TRUE(MustParse(hit).GetBool("ok", false)) << hit;
+  EXPECT_TRUE(ServedInline(hit));
+
+  busy.join();
+  queued.join();
+}
+
+// Eight connections on warm keys at once: every reply inline, byte-identical
+// to the first, with zero work — concurrent Toolchain::Explore calls on the
+// connection threads over one shared cache.
+TEST(ServeWarmPath, ConcurrentWarmHammerDoesZeroWork) {
+  TempDir scratch;
+  const std::string socket_path = scratch.path + "/serve.sock";
+  ServerHarness harness({socket_path});
+  ASSERT_TRUE(harness.Start());
+
+  const std::vector<std::string> keys = {
+      PartitionRequest("crc", "paper-greedy"),
+      PartitionRequest("crc", "knapsack-optimal"),
+      PartitionRequest("brev", "paper-greedy"),
+      R"({"schema":1,"kind":"explore","benchmarks":["crc","brev"],)"
+      R"("strategies":["paper-greedy"]})",
+  };
+  std::map<std::string, std::string> baseline;
+  Client primer = MustConnect(socket_path);
+  for (const std::string& key : keys) {
+    const std::string response = Call(primer, key);
+    ASSERT_TRUE(MustParse(response).GetBool("ok", false)) << response;
+    baseline[key] = ExtractReport(response);
+  }
+  const WorkCounters primed = FetchStats(primer);
+
+  constexpr int kThreads = 8;
+  constexpr int kRequestsPerThread = 25;
+  std::atomic<int> failures{0};
+  std::atomic<int> mismatches{0};
+  std::atomic<int> queued{0};
+  std::vector<std::thread> tenants;
+  for (int t = 0; t < kThreads; ++t) {
+    tenants.emplace_back([&, t] {
+      Client client = MustConnect(socket_path);
+      for (int i = 0; i < kRequestsPerThread; ++i) {
+        const std::string& key = keys[(t + i) % keys.size()];
+        std::string response;
+        if (!client.Call(key, &response, 60000).ok() ||
+            !MustParse(response).GetBool("ok", false)) {
+          ++failures;
+          continue;
+        }
+        if (!ServedInline(response)) ++queued;
+        if (ExtractReport(response) != baseline[key]) ++mismatches;
+      }
+    });
+  }
+  for (std::thread& tenant : tenants) tenant.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(queued.load(), 0);
+  const WorkCounters hammered = FetchStats(primer);
+  EXPECT_EQ(hammered.simulations, primed.simulations);
+  EXPECT_EQ(hammered.decompilations, primed.decompilations);
+  EXPECT_EQ(hammered.partitions, primed.partitions);
+  EXPECT_EQ(hammered.scheduler_submitted, primed.scheduler_submitted);
+  EXPECT_EQ(hammered.cache_misses, primed.cache_misses);
+  EXPECT_EQ(hammered.inline_hits,
+            primed.inline_hits + kThreads * kRequestsPerThread);
+}
+
+// A request frame split around the server's idle read tick is still one
+// request: the connection answers it and stays in sync.
+TEST(ServeDaemon, RequestFrameSplitAcrossIdleTickIsServed) {
+  TempDir scratch;
+  const std::string socket_path = scratch.path + "/serve.sock";
+  ServerHarness harness({socket_path});
+  ASSERT_TRUE(harness.Start());
+
+  Client client = MustConnect(socket_path);
+  const std::string ping = R"({"schema":1,"kind":"ping","id":"split"})";
+  const char prefix[4] = {static_cast<char>(ping.size()), 0, 0, 0};
+  ASSERT_TRUE(client.SendRaw(std::string_view(prefix, 4)));
+  std::this_thread::sleep_for(std::chrono::milliseconds(250));
+  ASSERT_TRUE(client.SendRaw(ping));
+  std::string response;
+  ASSERT_TRUE(client.Receive(&response, 10000).ok());
+  const JsonValue parsed = MustParse(response);
+  EXPECT_TRUE(parsed.GetBool("ok", false)) << response;
+  EXPECT_EQ(parsed.GetString("id"), "split");
+  const std::string pong = Call(client, R"({"schema":1,"kind":"ping"})");
+  EXPECT_TRUE(MustParse(pong).GetBool("ok", false)) << pong;
 }
 
 // Single-flight decompiles: two explorers sharing one artifact cache,

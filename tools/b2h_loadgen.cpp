@@ -30,6 +30,8 @@
 //   serve_warm_decompilations== 0   ... and re-decompile nothing
 //   serve_extra_partitions   == 0   partitions beyond the unique cold keys
 //   serve_burst_executed     == 1   the burst coalesced onto one execution
+//   serve_warm_queued        == 0   phase-2 warm replies all served inline
+//                                    (memory-tier hits skip the queue)
 //   serve_report_identical   == 1   serial == concurrent, bit for bit
 //   serve_metrics_ok         == 1   `metrics` snapshot matches the load
 //   serve_http_identical     == 1   (with --http-port) HTTP == framed
@@ -136,13 +138,17 @@ std::string ExtractReport(const std::string& response) {
   return response.substr(start, end - start);
 }
 
-bool ResponseOk(const std::string& response, bool* coalesced = nullptr) {
+/// True for an ok reply; optionally reports its volatile `served` flags.
+bool ResponseOk(const std::string& response, bool* coalesced = nullptr,
+                bool* served_inline = nullptr) {
   const std::optional<JsonValue> parsed = JsonValue::Parse(response);
   if (!parsed.has_value() || !parsed->is_object()) return false;
+  const JsonValue* served = parsed->Find("served");
   if (coalesced != nullptr) {
-    const JsonValue* served = parsed->Find("served");
-    *coalesced =
-        served != nullptr && served->GetBool("coalesced", false);
+    *coalesced = served != nullptr && served->GetBool("coalesced", false);
+  }
+  if (served_inline != nullptr) {
+    *served_inline = served != nullptr && served->GetBool("inline", false);
   }
   return parsed->GetBool("ok", false);
 }
@@ -378,9 +384,14 @@ int main(int argc, char** argv) {
   b2h::obs::ScopedSpan phase2_span("loadgen.mixed_load", "loadgen");
   std::mutex merge_mutex;
   std::vector<double> warm_latencies_ms;
-  std::vector<double> cold_latencies_ms;
+  // Cold-pool latencies split by whether the key was drawn for the first
+  // time (true first-sight work) or repeated (served warm or coalesced).
+  std::vector<double> first_sight_latencies_ms;
+  std::vector<double> cold_repeat_latencies_ms;
+  std::set<std::size_t> drawn_cold_keys;  // guarded by merge_mutex
   std::atomic<std::size_t> failures{0};
   std::atomic<std::size_t> client_coalesced{0};
+  std::atomic<std::size_t> warm_queued{0};
 
   const std::size_t total = std::max<std::size_t>(options.requests, 1);
   const unsigned connections = options.connections;
@@ -396,27 +407,38 @@ int main(int argc, char** argv) {
           return;
         }
         std::vector<double> warm_ms;
-        std::vector<double> cold_ms;
+        std::vector<double> first_sight_ms;
+        std::vector<double> cold_repeat_ms;
         for (std::size_t i = t; i < total; i += connections) {
           // Every 5th request draws from the small cold pool (repeats
           // included, so late duplicates exercise the now-warm path).
           const bool cold =
               i % 5 == 4 && options.cold_keys > 0;
+          const std::size_t cold_key = cold ? (i / 5) % options.cold_keys : 0;
+          bool first_sight = false;
+          if (cold) {
+            const std::lock_guard<std::mutex> lock(merge_mutex);
+            first_sight = drawn_cold_keys.insert(cold_key).second;
+          }
           const std::string request =
-              cold ? cold_request((i / 5) % options.cold_keys)
-                   : warm_set[i % warm_set.size()];
+              cold ? cold_request(cold_key) : warm_set[i % warm_set.size()];
           const auto start = Clock::now();
           std::string response;
           bool coalesced = false;
+          bool served_inline = false;
           if (!client.value().Call(request, &response, 120'000).ok() ||
-              !ResponseOk(response, &coalesced)) {
+              !ResponseOk(response, &coalesced, &served_inline)) {
             failures.fetch_add(1);
             continue;
           }
           const double ms =
               std::chrono::duration<double, std::milli>(Clock::now() - start)
                   .count();
-          (cold ? cold_ms : warm_ms).push_back(ms);
+          (!cold         ? warm_ms
+           : first_sight ? first_sight_ms
+                         : cold_repeat_ms)
+              .push_back(ms);
+          if (!cold && !served_inline) warm_queued.fetch_add(1);
           if (coalesced) client_coalesced.fetch_add(1);
           if (!registry.CheckOrInsert(request, ExtractReport(response))) {
             failures.fetch_add(1);
@@ -425,8 +447,12 @@ int main(int argc, char** argv) {
         const std::lock_guard<std::mutex> lock(merge_mutex);
         warm_latencies_ms.insert(warm_latencies_ms.end(), warm_ms.begin(),
                                  warm_ms.end());
-        cold_latencies_ms.insert(cold_latencies_ms.end(), cold_ms.begin(),
-                                 cold_ms.end());
+        first_sight_latencies_ms.insert(first_sight_latencies_ms.end(),
+                                        first_sight_ms.begin(),
+                                        first_sight_ms.end());
+        cold_repeat_latencies_ms.insert(cold_repeat_latencies_ms.end(),
+                                        cold_repeat_ms.begin(),
+                                        cold_repeat_ms.end());
       });
     }
     for (std::thread& thread : threads) thread.join();
@@ -570,14 +596,8 @@ int main(int argc, char** argv) {
   // Partitions after priming: exactly one per unique cold key actually
   // drawn in phase 2 plus one for the burst key; anything more is
   // recomputation the cache or the single-flight map failed to absorb.
-  std::set<std::size_t> drawn_cold;
-  for (std::size_t i = 0; i < total; ++i) {
-    if (i % 5 == 4 && options.cold_keys > 0) {
-      drawn_cold.insert((i / 5) % options.cold_keys);
-    }
-  }
   const double expected_partitions =
-      static_cast<double>(drawn_cold.size()) + 1.0;
+      static_cast<double>(drawn_cold_keys.size()) + 1.0;
   const double extra_partitions =
       (final_stats.partitions - after_cold.partitions) - expected_partitions;
   const std::size_t total_failures = request_failures + failures.load();
@@ -626,12 +646,16 @@ int main(int argc, char** argv) {
                 "ms");
     json.Record("serve_warm_p99_ms", Percentile(warm_latencies_ms, 0.99),
                 "ms");
-    json.Record("serve_cold_p50_ms", Percentile(cold_latencies_ms, 0.50),
-                "ms");
+    json.Record("serve_first_sight_p50_ms",
+                Percentile(first_sight_latencies_ms, 0.50), "ms");
+    json.Record("serve_cold_repeat_p50_ms",
+                Percentile(cold_repeat_latencies_ms, 0.50), "ms");
     json.Record("serve_warm_simulations", warm_simulations, "count");
     json.Record("serve_warm_decompilations", warm_decompilations, "count");
     json.Record("serve_extra_partitions", extra_partitions, "count");
     json.Record("serve_burst_executed", burst_executed, "count");
+    json.Record("serve_warm_queued", static_cast<double>(warm_queued.load()),
+                "count");
     json.Record("serve_report_identical", reports_identical ? 1.0 : 0.0,
                 "bool");
     json.Record("serve_metrics_ok", metrics_ok ? 1.0 : 0.0, "bool");
@@ -653,11 +677,15 @@ int main(int argc, char** argv) {
       "throughput %.0f req/s, warm p50 %.2f ms, p99 %.2f ms\n"
       "warm work: %.0f simulations, %.0f decompilations, "
       "%.0f extra partitions\n"
-      "coalesced %.0f (server) / %zu (client-visible), burst executed %.0f\n",
+      "coalesced %.0f (server) / %zu (client-visible), burst executed %.0f\n"
+      "cold pool p50: %.2f ms first sight, %.2f ms repeat; "
+      "%zu warm replies queued\n",
       throughput, Percentile(warm_latencies_ms, 0.50),
       Percentile(warm_latencies_ms, 0.99), warm_simulations,
       warm_decompilations, extra_partitions, final_stats.coalesced,
-      client_coalesced.load(), burst_executed);
+      client_coalesced.load(), burst_executed,
+      Percentile(first_sight_latencies_ms, 0.50),
+      Percentile(cold_repeat_latencies_ms, 0.50), warm_queued.load());
 
   bool failed = false;
   const auto gate = [&](const char* name, bool ok) {
@@ -668,6 +696,7 @@ int main(int argc, char** argv) {
   gate("serve_warm_decompilations==0", warm_decompilations == 0.0);
   gate("serve_extra_partitions==0", extra_partitions == 0.0);
   gate("serve_burst_executed==1", burst_executed == 1.0);
+  gate("serve_warm_queued==0", warm_queued.load() == 0);
   gate("serve_report_identical==1", reports_identical);
   gate("serve_metrics_ok==1", metrics_ok);
   if (http_enabled) gate("serve_http_identical==1", http_identical);
