@@ -3,6 +3,7 @@
 
 Usage:
   python3 ci/validate_trace.py TRACE.json [--require-categories a,b,c]
+                               [--require-coverage SPAN=FRACTION ...]
 
 Checks (non-zero exit on the first failure):
 
@@ -17,7 +18,11 @@ Checks (non-zero exit on the first failure):
   * span ids are unique;
   * every required category (default: the end-to-end flow set decomp,
     partition, explore, cache) appears at least once — a traced cold
-    sweep that misses one of these lost a whole subsystem's spans.
+    sweep that misses one of these lost a whole subsystem's spans;
+  * for every --require-coverage SPAN=FRACTION, each span named SPAN
+    exists and its direct children (by parent_id) cover at least FRACTION
+    of its duration, so an unspanned gap on the critical path fails
+    instead of hiding in the parent's self time.
 
 A parent_id pointing at a span that is not in the file is reported but not
 fatal: the ring may legitimately have dropped an old parent on very long
@@ -37,12 +42,46 @@ def fail(message):
     return 1
 
 
+def parse_coverage(rule):
+    """'explore.decompile=0.9' -> ('explore.decompile', 0.9)."""
+    name, sep, fraction = rule.rpartition("=")
+    try:
+        value = float(fraction)
+    except ValueError:
+        value = -1.0
+    if not sep or not name or not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(
+            f"expected SPAN=FRACTION with FRACTION in [0, 1], got {rule!r}")
+    return name, value
+
+
+def child_coverage(parent, children):
+    """Share of `parent`'s duration covered by the union of its children's
+    intervals, each clipped to the parent's."""
+    start, end = parent["ts"], parent["ts"] + parent["dur"]
+    intervals = sorted((max(start, c["ts"]), min(end, c["ts"] + c["dur"]))
+                       for c in children)
+    covered, reach = 0.0, start
+    for lo, hi in intervals:
+        lo = max(lo, reach)
+        if hi > lo:
+            covered += hi - lo
+            reach = hi
+    return covered / parent["dur"]
+
+
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("trace", help="Chrome trace-event JSON file")
     parser.add_argument("--require-categories", default=DEFAULT_CATEGORIES,
                         help="comma-separated categories that must appear "
                              f"(default: {DEFAULT_CATEGORIES}; '' disables)")
+    parser.add_argument("--require-coverage", type=parse_coverage,
+                        action="append", default=[],
+                        metavar="SPAN=FRACTION",
+                        help="every span named SPAN must have children "
+                             "covering at least FRACTION of its duration "
+                             "(repeatable)")
     parser.add_argument("--allow-dropped", action="store_true",
                         help="tolerate otherData.dropped > 0 (long sessions "
                              "legitimately wrap the ring)")
@@ -118,6 +157,28 @@ def main():
     if missing:
         return fail(f"required categories missing: {', '.join(missing)} "
                     f"(present: {', '.join(sorted(categories))})")
+
+    children = {}
+    for event in events:
+        parent_id = event["args"].get("parent_id")
+        if isinstance(parent_id, int):
+            children.setdefault(parent_id, []).append(event)
+    for name, fraction in args.require_coverage:
+        spans = [event for event in events if event["name"] == name]
+        if not spans:
+            return fail(f"no '{name}' span to check coverage of")
+        for span in spans:
+            if span["dur"] <= 0:
+                continue
+            coverage = child_coverage(
+                span, children.get(span["args"]["span_id"], []))
+            if coverage < fraction:
+                return fail(
+                    f"'{name}' span {span['args']['span_id']} "
+                    f"(ts={span['ts']}, dur={span['dur']}us): children "
+                    f"cover {coverage:.1%}, required {fraction:.0%}")
+        print(f"validate_trace: coverage OK: {len(spans)} '{name}' span(s) "
+              f">= {fraction:.0%} covered by their children")
 
     summary = ", ".join(f"{name}={count}"
                         for name, count in sorted(categories.items()))

@@ -592,9 +592,32 @@ void ArtifactCache::PutPartition(
              std::move(artifact));
 }
 
+std::string ArtifactCache::BinaryHash(
+    const std::shared_ptr<const mips::SoftBinary>& binary) {
+  {
+    const std::lock_guard<std::mutex> lock(binary_hashes_mutex_);
+    const auto it = binary_hashes_.find(binary.get());
+    // A live entry at this address is this binary: two live objects never
+    // share an address, and the caller's reference keeps it alive.
+    if (it != binary_hashes_.end() && !it->second.binary.expired()) {
+      return it->second.hash;
+    }
+  }
+  // Hashed outside the lock, so first sights of different binaries do not
+  // queue behind each other; a racing duplicate computes the same digest.
+  std::string hash = HashBinary(*binary);
+  const std::lock_guard<std::mutex> lock(binary_hashes_mutex_);
+  std::erase_if(binary_hashes_,
+                [](const auto& entry) { return entry.second.binary.expired(); });
+  binary_hashes_[binary.get()] = {binary, hash};
+  return hash;
+}
+
 ArtifactCache::Stats ArtifactCache::stats() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
+  const std::scoped_lock lock(mutex_, binary_hashes_mutex_);
+  Stats stats = stats_;
+  stats.binary_digests = binary_hashes_.size();
+  return stats;
 }
 
 void ArtifactCache::Clear() {

@@ -132,6 +132,7 @@ class ArtifactCache {
     std::size_t disk_stores = 0;       ///< entries written to disk
     std::size_t disk_bad_entries = 0;  ///< undecodable disk payloads seen
     std::size_t entries = 0;           ///< memory-tier entries
+    std::size_t binary_digests = 0;    ///< BinaryHash memo entries
 
     [[nodiscard]] std::size_t hits() const { return memory_hits + disk_hits; }
   };
@@ -190,6 +191,15 @@ class ArtifactCache {
   /// back to computing locally).
   [[nodiscard]] std::shared_ptr<const DecompileArtifact> WaitDecompile(
       const std::string& key);
+
+  /// HashBinary(*binary), computed once per live binary object: a binary
+  /// is immutable, so every sweep over it after the first reuses the
+  /// digest instead of re-hashing its text and data.  Entries are keyed by
+  /// address and hold a weak_ptr, so a binary allocated later at a dead
+  /// one's address never sees the dead one's digest, and entries of dead
+  /// binaries are dropped on the next insert.  Thread-safe.
+  [[nodiscard]] std::string BinaryHash(
+      const std::shared_ptr<const mips::SoftBinary>& binary);
 
   [[nodiscard]] Stats stats() const;
   /// Drop the memory tier (and reset counters); disk entries survive.
@@ -252,6 +262,14 @@ class ArtifactCache {
   std::unordered_map<std::string, std::shared_ptr<const PartitionArtifact>>
       partitions_;
   std::unique_ptr<DiskStore> disk_;
+
+  struct BinaryDigest {
+    std::weak_ptr<const mips::SoftBinary> binary;
+    std::string hash;
+  };
+  mutable std::mutex binary_hashes_mutex_;
+  std::unordered_map<const mips::SoftBinary*, BinaryDigest> binary_hashes_;
+
   std::shared_ptr<partition::CandidateSetPool> candidate_pool_ =
       std::make_shared<partition::CandidateSetPool>();
 };

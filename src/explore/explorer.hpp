@@ -24,6 +24,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "explore/artifact_cache.hpp"
@@ -186,6 +187,15 @@ struct ExploreResult {
   /// a byte-compared surface (serve responses, the CI cache-warm gate).
   [[nodiscard]] std::string Json(bool include_stage_ms = false) const;
 };
+
+/// The single-point JSON report, stamped with kReportSchemaVersion: the
+/// serve daemon's `partition` reply and ToolchainRun::Json() both write
+/// this one shape, so a served report is bit-identical to a local run's.
+[[nodiscard]] std::string PointReportJson(
+    std::string_view binary, std::string_view platform, double speedup,
+    double energy_savings, double area_gates,
+    const std::vector<std::string>& hw_regions,
+    const std::vector<std::string>& rejected);
 
 struct ExplorerConfig {
   std::string pipeline = "default";

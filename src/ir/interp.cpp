@@ -29,8 +29,7 @@ Interpreter::Interpreter(const Module& module,
 }
 
 std::uint32_t Interpreter::PeekWord(std::uint32_t addr) const {
-  Check(addr >= options_.data_base &&
-            addr + 4 <= options_.data_base + data_mem_.size(),
+  Check(InSegment(addr, 4, options_.data_base, data_mem_.size()),
         "Interpreter::PeekWord outside data");
   std::uint32_t value;
   std::memcpy(&value, data_mem_.data() + (addr - options_.data_base), 4);
@@ -46,12 +45,11 @@ InterpResult Interpreter::Run(std::span<const std::int32_t> args) {
 
   const auto mem_ptr = [this](std::uint32_t addr,
                               unsigned size) -> std::uint8_t* {
-    if (addr >= options_.data_base &&
-        addr + size <= options_.data_base + data_mem_.size()) {
+    if (InSegment(addr, size, options_.data_base, data_mem_.size())) {
       return data_mem_.data() + (addr - options_.data_base);
     }
     const std::uint32_t stack_base = options_.stack_top - options_.stack_size;
-    if (addr >= stack_base && addr + size <= options_.stack_top) {
+    if (InSegment(addr, size, stack_base, stack_mem_.size())) {
       return stack_mem_.data() + (addr - stack_base);
     }
     return nullptr;

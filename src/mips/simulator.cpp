@@ -67,22 +67,12 @@ const std::uint8_t* Simulator::MemPtr(std::uint32_t addr,
 }
 
 std::uint8_t* Simulator::MemPtr(std::uint32_t addr, unsigned size) {
-  // End-exclusive, wrap-safe bounds: `addr + size` overflows 32 bits for
-  // addr near UINT32_MAX and would pass a naive `addr + size <= end` check,
-  // so compare the offset into the segment against the segment size
-  // instead — neither subtraction can wrap once `addr >= base` holds.
-  if (addr >= kDataBase) {
-    const std::uint32_t offset = addr - kDataBase;
-    if (offset < data_mem_.size() && size <= data_mem_.size() - offset) {
-      return data_mem_.data() + offset;
-    }
+  if (InSegment(addr, size, kDataBase, data_mem_.size())) {
+    return data_mem_.data() + (addr - kDataBase);
   }
   const std::uint32_t stack_base = kStackTop - kStackSize;
-  if (addr >= stack_base) {
-    const std::uint32_t offset = addr - stack_base;
-    if (offset < kStackSize && size <= kStackSize - offset) {
-      return stack_mem_.data() + offset;
-    }
+  if (InSegment(addr, size, stack_base, kStackSize)) {
+    return stack_mem_.data() + (addr - stack_base);
   }
   return nullptr;
 }

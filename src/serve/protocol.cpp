@@ -1,7 +1,5 @@
 #include "serve/protocol.hpp"
 
-#include <sstream>
-
 #include "partition/strategy.hpp"
 #include "support/json.hpp"
 #include "support/json_parse.hpp"
@@ -189,11 +187,13 @@ std::string RequestKey(const Request& request) {
   // '\x1f' separators cannot appear in registry/benchmark names, so the
   // concatenation is injective; lists keep their order (a reordered explore
   // grid is a different report, hence a different key).
-  std::ostringstream out;
-  out << RequestKindName(request.kind);
-  const auto field = [&](std::string_view value) { out << '\x1f' << value; };
+  std::string out(RequestKindName(request.kind));
+  const auto field = [&](std::string_view value) {
+    out += '\x1f';
+    out += value;
+  };
   const auto list = [&](const std::vector<std::string>& values) {
-    out << '\x1f' << values.size();
+    field(std::to_string(values.size()));
     for (const std::string& value : values) field(value);
   };
   if (request.kind == RequestKind::kPartition) {
@@ -207,9 +207,10 @@ std::string RequestKey(const Request& request) {
     list(request.strategies);
     list(request.objectives);
   }
-  out << '\x1f' << request.opt_level << '\x1f' << request.seed << '\x1f'
-      << request.annealing_iterations;
-  return out.str();
+  field(std::to_string(request.opt_level));
+  field(std::to_string(request.seed));
+  field(std::to_string(request.annealing_iterations));
+  return out;
 }
 
 bool ValidCorrelationId(std::string_view corr) {
@@ -225,47 +226,64 @@ bool ValidCorrelationId(std::string_view corr) {
 
 namespace {
 
-void AppendCorr(std::ostringstream& out, std::string_view corr) {
+/// `{"schema":N,"id":"<id>"` plus `,"corr":"<corr>"` when one is set: the
+/// head every envelope shares.  `body_bytes` sizes the one reservation.
+std::string EnvelopeHead(const std::string& id, std::string_view corr,
+                         std::size_t body_bytes) {
+  std::string out;
+  out.reserve(48 + id.size() + corr.size() + body_bytes);
+  out += "{\"schema\":";
+  support::AppendJsonNumber(out, kWireSchemaVersion);
+  out += ",\"id\":";
+  support::AppendJsonString(out, id);
   if (!corr.empty()) {
-    out << ",\"corr\":\"" << support::JsonEscape(std::string(corr)) << "\"";
+    out += ",\"corr\":";
+    support::AppendJsonString(out, corr);
   }
+  return out;
+}
+
+/// `json`, or `{}` when empty.
+std::string_view ObjectOrEmpty(std::string_view json) {
+  return json.empty() ? "{}" : json;
 }
 
 }  // namespace
 
 std::string ErrorResponse(const std::string& id, std::string_view code,
                           std::string_view message, std::string_view corr) {
-  std::ostringstream out;
-  out << "{\"schema\":" << kWireSchemaVersion << ",\"id\":\""
-      << support::JsonEscape(id) << "\"";
-  AppendCorr(out, corr);
-  out << ",\"ok\":false,\"error\":{\"code\":\""
-      << support::JsonEscape(std::string(code)) << "\",\"message\":\""
-      << support::JsonEscape(std::string(message)) << "\"}}";
-  return out.str();
+  std::string out =
+      EnvelopeHead(id, corr, 48 + code.size() + message.size());
+  out += ",\"ok\":false,\"error\":{\"code\":";
+  support::AppendJsonString(out, code);
+  out += ",\"message\":";
+  support::AppendJsonString(out, message);
+  out += "}}";
+  return out;
 }
 
 std::string OkResponse(const std::string& id, std::string_view report_json,
                        std::string_view served_json, std::string_view corr) {
-  std::ostringstream out;
-  out << "{\"schema\":" << kWireSchemaVersion << ",\"id\":\""
-      << support::JsonEscape(id) << "\"";
-  AppendCorr(out, corr);
-  out << ",\"ok\":true,\"report\":"
-      << (report_json.empty() ? "{}" : report_json) << ",\"served\":"
-      << (served_json.empty() ? "{}" : served_json) << "}";
-  return out.str();
+  report_json = ObjectOrEmpty(report_json);
+  served_json = ObjectOrEmpty(served_json);
+  std::string out = EnvelopeHead(
+      id, corr, 32 + report_json.size() + served_json.size());
+  out += ",\"ok\":true,\"report\":";
+  out += report_json;
+  out += ",\"served\":";
+  out += served_json;
+  out += '}';
+  return out;
 }
 
 std::string ProgressFrame(const std::string& id, std::string_view corr,
                           std::string_view progress_json) {
-  std::ostringstream out;
-  out << "{\"schema\":" << kWireSchemaVersion << ",\"id\":\""
-      << support::JsonEscape(id) << "\"";
-  AppendCorr(out, corr);
-  out << ",\"progress\":" << (progress_json.empty() ? "{}" : progress_json)
-      << "}";
-  return out.str();
+  progress_json = ObjectOrEmpty(progress_json);
+  std::string out = EnvelopeHead(id, corr, 16 + progress_json.size());
+  out += ",\"progress\":";
+  out += progress_json;
+  out += '}';
+  return out;
 }
 
 }  // namespace b2h::serve

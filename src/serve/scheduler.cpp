@@ -12,18 +12,22 @@ namespace b2h::serve {
 
 namespace {
 
-/// Registry-backed queue gauges, resolved once (instrument lookup takes a
-/// mutex; these are touched on every submit/execute).  serve.queue_depth is
-/// the live queued-not-running count, serve.in_flight the closures
-/// currently executing on workers.
+/// Registry-backed queue instruments, resolved once (instrument lookup
+/// takes a mutex; these are touched on every submit/execute).
+/// serve.queue_depth is the live queued-not-running count, serve.in_flight
+/// the closures currently executing on workers, serve.execute_ms the run
+/// time of each executed closure (once per job, however many waiters it
+/// serves).
 struct QueueMetrics {
   obs::Gauge& queue_depth;
   obs::Gauge& in_flight;
+  obs::Histogram& execute_ms;
 
   static QueueMetrics& Get() {
     static QueueMetrics& metrics = *new QueueMetrics{
         obs::Registry::Global().gauge("serve.queue_depth"),
-        obs::Registry::Global().gauge("serve.in_flight")};
+        obs::Registry::Global().gauge("serve.in_flight"),
+        obs::Registry::Global().histogram("serve.execute_ms")};
     return metrics;
   }
 };
@@ -31,6 +35,9 @@ struct QueueMetrics {
 }  // namespace
 
 Scheduler::Scheduler(Options options) : options_(options) {
+  // Like the server's serve.* instruments: a fresh daemon's execute
+  // histogram starts empty.
+  QueueMetrics::Get().execute_ms.Reset();
   const unsigned workers = std::max(1u, options_.workers);
   workers_.reserve(workers);
   for (unsigned i = 0; i < workers; ++i) {
@@ -149,6 +156,8 @@ void Scheduler::WorkerLoop() {
     } catch (...) {
       result = {false, kErrInternal, "work closure threw", ""};
     }
+    metrics.execute_ms.Observe(
+        static_cast<double>(obs::Stopwatch::Now() - job->started_ns) / 1e6);
     metrics.in_flight.Add(-1);
 
     lock.lock();

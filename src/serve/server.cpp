@@ -28,36 +28,6 @@ using support::JsonEscape;
 /// connection reads).  Bounds shutdown latency without busy-waiting.
 constexpr int kStopPollMs = 100;
 
-/// ToolchainRun::Json()-shaped report for one explore point — same fields,
-/// same order, same %.9g formatting, so a served `partition` report is
-/// bit-identical to what a local Toolchain::RunOn + Json() produces for
-/// the same request (asserted in test_serve).
-std::string PartitionReportJson(const explore::ExplorePoint& point) {
-  std::ostringstream out;
-  char number[64];
-  out << "{\"schema\":" << kReportSchemaVersion << ",\"binary\":\""
-      << JsonEscape(point.binary_name) << "\",\"platform\":\""
-      << JsonEscape(point.platform_name) << "\"";
-  std::snprintf(number, sizeof number, "%.9g", point.speedup);
-  out << ",\"speedup\":" << number;
-  std::snprintf(number, sizeof number, "%.9g", point.energy_savings);
-  out << ",\"energy_savings\":" << number;
-  std::snprintf(number, sizeof number, "%.9g", point.area_gates);
-  out << ",\"area_gates\":" << number;
-  out << ",\"hw_regions\":[";
-  for (std::size_t i = 0; i < point.hw_names.size(); ++i) {
-    if (i != 0) out << ",";
-    out << "\"" << JsonEscape(point.hw_names[i]) << "\"";
-  }
-  out << "],\"rejected\":[";
-  for (std::size_t i = 0; i < point.rejected.size(); ++i) {
-    if (i != 0) out << ",";
-    out << "\"" << JsonEscape(point.rejected[i]) << "\"";
-  }
-  out << "]}";
-  return out.str();
-}
-
 /// The "progress" object of a progress frame / GET /v1/progress response.
 std::string ProgressJson(const ProgressState& state) {
   std::ostringstream out;
@@ -91,7 +61,11 @@ JobResult WorkReport(const Request& request,
   if (!point.status.ok()) {
     return {false, kErrFlowFailed, point.status.message(), ""};
   }
-  return {true, "", "", PartitionReportJson(point)};
+  return {true, "", "",
+          explore::PointReportJson(point.binary_name, point.platform_name,
+                                   point.speedup, point.energy_savings,
+                                   point.area_gates, point.hw_names,
+                                   point.rejected)};
 }
 
 }  // namespace
@@ -118,7 +92,8 @@ Server::Server(Options options)
           "serve.latency_ms.explore")),
       inline_hits_(obs::Registry::Global().counter("serve.inline_hits")),
       queue_wait_ms_(obs::Registry::Global().histogram(
-          "serve.queue_wait_ms")) {
+          "serve.queue_wait_ms")),
+      write_ms_(obs::Registry::Global().histogram("serve.write_ms")) {
   // A fresh daemon starts its serve.* instruments at zero — the behavior of
   // the per-instance counters this registry family replaced.  The registry
   // is process-global, but a process runs one Server (b2h-serve) and the
@@ -135,6 +110,7 @@ Server::Server(Options options)
   explore_latency_ms_.Reset();
   inline_hits_.Reset();
   queue_wait_ms_.Reset();
+  write_ms_.Reset();
   toolchain_.WithThreads(options_.toolchain_threads);
   if (!options_.cache_dir.empty()) {
     toolchain_.WithCacheDir(options_.cache_dir);
@@ -248,6 +224,15 @@ void Server::HttpAcceptLoop() {
   }
 }
 
+template <typename Write>
+bool Server::WriteReply(const Write& write) {
+  obs::ScopedSpan span("serve.write", "serve");
+  const obs::Stopwatch watch;
+  const bool written = write();
+  write_ms_.Observe(watch.Millis());
+  return written;
+}
+
 void Server::ServeConnection(int fd) {
   connections_served_.Add(1);
   connections_open_.Add(1);
@@ -278,7 +263,11 @@ void Server::ServeConnection(int fd) {
     if (status != support::FrameStatus::kOk) break;  // truncated / error
 
     const std::string response = HandleRequest(payload, &frame_sink);
-    if (!support::WriteFrame(fd, response, options_.max_frame_bytes)) break;
+    if (!WriteReply([&] {
+          return support::WriteFrame(fd, response, options_.max_frame_bytes);
+        })) {
+      break;
+    }
   }
   connections_open_.Add(-1);
   ::close(fd);
@@ -451,8 +440,10 @@ void Server::HandleHttp(int fd, const support::HttpRequest& request) {
     // validation, coalescing, deadlines, and cache.  Protocol-level
     // failures ride the JSON envelope (ok:false) with HTTP 200.
     const std::string response = HandleRequest(payload, nullptr);
-    (void)support::WriteHttpResponse(fd, 200, "OK", "application/json",
-                                     response);
+    (void)WriteReply([&] {
+      return support::WriteHttpResponse(fd, 200, "OK", "application/json",
+                                        response);
+    });
     return;
   }
 

@@ -120,6 +120,10 @@ class Server {
   [[nodiscard]] std::string HandleWork(const Request& request,
                                        const std::string& corr,
                                        const FrameSink* frame_sink);
+  /// Runs `write` (which hands a reply to the socket) under a serve.write
+  /// span and the serve.write_ms histogram; returns what it returned.
+  template <typename Write>
+  bool WriteReply(const Write& write);
   /// Logs and envelopes a work result or refusal (`served_json` is the
   /// volatile delivery slot of an ok reply).
   [[nodiscard]] std::string WorkReply(const Request& request,
@@ -197,6 +201,8 @@ class Server {
   // submit-to-start wait of the scheduled ones.
   obs::Counter& inline_hits_;
   obs::Histogram& queue_wait_ms_;
+  // Time to hand a request's reply to the socket (frame or HTTP response).
+  obs::Histogram& write_ms_;
 };
 
 }  // namespace b2h::serve

@@ -19,14 +19,15 @@ RtlSimulator::RtlSimulator(const HwRegion& region,
                            RtlOptions options)
     : region_(region), schedule_(schedule), options_(options) {
   data_mem_.assign(options_.data_size, 0);
-  std::memcpy(data_mem_.data(), initial_data.data(),
-              std::min<std::size_t>(initial_data.size(), data_mem_.size()));
+  if (!initial_data.empty()) {
+    std::memcpy(data_mem_.data(), initial_data.data(),
+                std::min<std::size_t>(initial_data.size(), data_mem_.size()));
+  }
   stack_mem_.assign(options_.stack_size, 0);
 }
 
 std::uint32_t RtlSimulator::PeekWord(std::uint32_t addr) const {
-  Check(addr >= options_.data_base &&
-            addr + 4 <= options_.data_base + data_mem_.size(),
+  Check(InSegment(addr, 4, options_.data_base, data_mem_.size()),
         "RtlSimulator::PeekWord outside data");
   std::uint32_t value;
   std::memcpy(&value, data_mem_.data() + (addr - options_.data_base), 4);
@@ -45,12 +46,11 @@ RtlResult RtlSimulator::Run(
 
   const auto mem_ptr = [this](std::uint32_t addr,
                               unsigned size) -> std::uint8_t* {
-    if (addr >= options_.data_base &&
-        addr + size <= options_.data_base + data_mem_.size()) {
+    if (InSegment(addr, size, options_.data_base, data_mem_.size())) {
       return data_mem_.data() + (addr - options_.data_base);
     }
     const std::uint32_t stack_base = options_.stack_top - options_.stack_size;
-    if (addr >= stack_base && addr + size <= options_.stack_top) {
+    if (InSegment(addr, size, stack_base, stack_mem_.size())) {
       return stack_mem_.data() + (addr - stack_base);
     }
     return nullptr;

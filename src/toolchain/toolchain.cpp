@@ -6,15 +6,12 @@
 #include "mips/simulator.hpp"
 #include "obs/obs.hpp"
 #include "partition/partitioner.hpp"
-#include "support/json.hpp"
 #include "support/parallel_for.hpp"
-#include "support/schema.hpp"
 
 namespace b2h {
 
 namespace {
 
-using support::JsonEscape;
 using support::ParallelFor;
 
 bool SameCycleModel(const mips::CycleModel& a, const mips::CycleModel& b) {
@@ -45,30 +42,15 @@ std::string ToolchainRun::Report() const {
 }
 
 std::string ToolchainRun::Json() const {
-  std::ostringstream out;
-  char number[64];
-  out << "{\"schema\":" << kReportSchemaVersion << ",\"binary\":\""
-      << JsonEscape(binary_name) << "\",\"platform\":\""
-      << JsonEscape(platform_name) << "\"";
-  std::snprintf(number, sizeof number, "%.9g", estimate.speedup);
-  out << ",\"speedup\":" << number;
-  std::snprintf(number, sizeof number, "%.9g", estimate.energy_savings);
-  out << ",\"energy_savings\":" << number;
-  std::snprintf(number, sizeof number, "%.9g", estimate.area_gates);
-  out << ",\"area_gates\":" << number;
-  out << ",\"hw_regions\":[";
-  for (std::size_t i = 0; i < partition.hw.size(); ++i) {
-    if (i != 0) out << ",";
-    out << "\"" << JsonEscape(partition.hw[i].synthesized.region.name)
-        << "\"";
+  std::vector<std::string> hw_names;
+  hw_names.reserve(partition.hw.size());
+  for (const auto& region : partition.hw) {
+    hw_names.push_back(region.synthesized.region.name);
   }
-  out << "],\"rejected\":[";
-  for (std::size_t i = 0; i < partition.rejected.size(); ++i) {
-    if (i != 0) out << ",";
-    out << "\"" << JsonEscape(partition.rejected[i]) << "\"";
-  }
-  out << "]}";
-  return out.str();
+  return explore::PointReportJson(binary_name, platform_name,
+                                  estimate.speedup, estimate.energy_savings,
+                                  estimate.area_gates, hw_names,
+                                  partition.rejected);
 }
 
 // -------------------------------------------------------------- Toolchain

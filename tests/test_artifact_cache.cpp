@@ -343,5 +343,95 @@ TEST(DiskStoreTest, StoreSkipsExistingKeys) {
   EXPECT_EQ(*store.Load(kDecompileKind, "k"), "first");
 }
 
+// ---------------------------------------------------------------------------
+// BinaryHash: the per-binary content-hash memo
+// ---------------------------------------------------------------------------
+
+mips::SoftBinary SampleBinary(std::uint32_t seed) {
+  mips::SoftBinary binary;
+  for (std::uint32_t i = 0; i < 64; ++i) binary.text.push_back(seed * 31 + i);
+  binary.data = {static_cast<std::uint8_t>(seed), 1, 2, 3};
+  binary.symbols = {{"main", mips::kTextBase}};
+  return binary;
+}
+
+TEST(BinaryHashMemo, EqualsHashBinary) {
+  ArtifactCache cache;
+  std::vector<std::shared_ptr<const mips::SoftBinary>> binaries;
+  for (std::uint32_t seed = 0; seed < 4; ++seed) {
+    binaries.push_back(
+        std::make_shared<const mips::SoftBinary>(SampleBinary(seed)));
+    const std::string expected = HashBinary(*binaries.back());
+    EXPECT_EQ(cache.BinaryHash(binaries.back()), expected);
+    EXPECT_EQ(cache.BinaryHash(binaries.back()), expected);  // memoized
+  }
+  EXPECT_EQ(cache.stats().binary_digests, binaries.size());
+}
+
+TEST(BinaryHashMemo, ReusedAddressGetsItsOwnDigest) {
+  // Both binaries live in the same storage, so the second one is
+  // guaranteed the dead first one's address.
+  alignas(mips::SoftBinary) unsigned char storage[sizeof(mips::SoftBinary)];
+  const auto make_in_storage = [&](std::uint32_t seed) {
+    const auto* binary = new (storage) mips::SoftBinary(SampleBinary(seed));
+    return std::shared_ptr<const mips::SoftBinary>(
+        binary, [](const mips::SoftBinary* dead) { dead->~SoftBinary(); });
+  };
+  ArtifactCache cache;
+  auto first = make_in_storage(1);
+  const std::string first_hash = cache.BinaryHash(first);
+  first.reset();
+  const auto second = make_in_storage(2);
+  const std::string second_hash = cache.BinaryHash(second);
+  EXPECT_NE(second_hash, first_hash);
+  EXPECT_EQ(second_hash, HashBinary(*second));
+}
+
+TEST(BinaryHashMemo, DropsEntriesOfDeadBinaries) {
+  ArtifactCache cache;
+  const auto keep =
+      std::make_shared<const mips::SoftBinary>(SampleBinary(1));
+  (void)cache.BinaryHash(keep);
+  for (std::uint32_t seed = 2; seed < 10; ++seed) {
+    const auto transient =
+        std::make_shared<const mips::SoftBinary>(SampleBinary(seed));
+    (void)cache.BinaryHash(transient);
+  }
+  // Each insert dropped the entry of the binary that died before it, so
+  // only `keep` and the last transient binary's entry remain.
+  EXPECT_EQ(cache.stats().binary_digests, 2u);
+  EXPECT_EQ(cache.BinaryHash(keep), HashBinary(*keep));
+}
+
+TEST(BinaryHashMemo, ConcurrentCallersAgree) {
+  std::vector<std::shared_ptr<const mips::SoftBinary>> binaries;
+  std::vector<std::string> expected;
+  for (std::uint32_t seed = 0; seed < 8; ++seed) {
+    binaries.push_back(
+        std::make_shared<const mips::SoftBinary>(SampleBinary(seed)));
+    expected.push_back(HashBinary(*binaries.back()));
+  }
+  ArtifactCache cache;
+  constexpr int kThreads = 4;
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < 50; ++round) {
+        // Each thread walks the binaries from a different start, so first
+        // sights race on every binary.
+        for (std::size_t i = 0; i < binaries.size(); ++i) {
+          const std::size_t b =
+              (i + static_cast<std::size_t>(t)) % binaries.size();
+          if (cache.BinaryHash(binaries[b]) != expected[b]) ++mismatches[t];
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(mismatches[t], 0) << t;
+  EXPECT_EQ(cache.stats().binary_digests, binaries.size());
+}
+
 }  // namespace
 }  // namespace b2h::explore

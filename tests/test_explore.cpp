@@ -9,13 +9,22 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <limits>
 #include <memory>
+#include <random>
+#include <sstream>
 #include <vector>
 
 #include "partition/candidates.hpp"
 #include "partition/strategy.hpp"
 #include "suite/runner.hpp"
 #include "suite/suite.hpp"
+#include "support/json.hpp"
+#include "support/schema.hpp"
 #include "testing_support.hpp"
 #include "toolchain/toolchain.hpp"
 
@@ -603,6 +612,206 @@ TEST(Strategy, KnapsackMatchesExhaustiveSearchOnFir) {
   const auto estimate =
       partition::EstimatePartition(result.value(), platform);
   EXPECT_NEAR(estimate.speedup, best, 1e-9);
+}
+
+// ---------------------------------------------------------------------------
+// Report writer oracle: the append-based writers against the ostringstream +
+// snprintf("%.9g") encoder they replaced, kept here as the reference.
+// ---------------------------------------------------------------------------
+
+std::string ReferenceEscape(const std::string& text) {
+  std::string escaped;
+  for (char c : text) {
+    const auto u = static_cast<unsigned char>(c);
+    switch (c) {
+      case '"': escaped += "\\\""; break;
+      case '\\': escaped += "\\\\"; break;
+      case '\n': escaped += "\\n"; break;
+      case '\t': escaped += "\\t"; break;
+      case '\r': escaped += "\\r"; break;
+      default:
+        if (u < 0x20) {
+          char buffer[8];
+          std::snprintf(buffer, sizeof buffer, "\\u%04x", u);
+          escaped += buffer;
+        } else {
+          escaped.push_back(c);
+        }
+    }
+  }
+  return escaped;
+}
+
+std::string ReferenceNumber(double value) {
+  char number[64];
+  std::snprintf(number, sizeof number, "%.9g", value);
+  return number;
+}
+
+std::string ReferenceStrings(const std::vector<std::string>& values) {
+  std::ostringstream out;
+  out << "[";
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (i != 0) out << ",";
+    out << "\"" << ReferenceEscape(values[i]) << "\"";
+  }
+  out << "]";
+  return out.str();
+}
+
+std::string ReferenceExploreJson(const ExploreResult& result,
+                                 bool include_stage_ms) {
+  std::ostringstream out;
+  out << "{\"schema\":" << kReportSchemaVersion << ",\"binaries\":"
+      << result.num_binaries << ",\"platforms\":" << result.num_platforms
+      << ",\"strategies\":" << result.num_strategies << ",\"objectives\":"
+      << result.num_objectives << ",\"points\":[";
+  for (std::size_t i = 0; i < result.points.size(); ++i) {
+    const explore::ExplorePoint& point = result.points[i];
+    if (i != 0) out << ",";
+    out << "{\"binary\":\"" << ReferenceEscape(point.binary_name)
+        << "\",\"platform\":\"" << ReferenceEscape(point.platform_name)
+        << "\",\"strategy\":\"" << ReferenceEscape(point.strategy_name)
+        << "\",\"objective\":\"" << partition::ObjectiveName(point.objective)
+        << "\"";
+    if (!point.status.ok()) {
+      out << ",\"error\":\"" << ReferenceEscape(point.status.message())
+          << "\"}";
+      continue;
+    }
+    out << ",\"speedup\":" << ReferenceNumber(point.speedup)
+        << ",\"energy\":" << ReferenceNumber(point.energy)
+        << ",\"energy_savings\":" << ReferenceNumber(point.energy_savings)
+        << ",\"edp\":" << ReferenceNumber(point.edp)
+        << ",\"area_gates\":" << ReferenceNumber(point.area_gates)
+        << ",\"hw_regions\":" << ReferenceStrings(point.hw_names)
+        << ",\"rejected\":" << ReferenceStrings(point.rejected);
+    if (include_stage_ms) {
+      out << ",\"decompile_ms\":" << ReferenceNumber(point.decompile_ms)
+          << ",\"synth_ms\":" << ReferenceNumber(point.synth_ms)
+          << ",\"partition_ms\":" << ReferenceNumber(point.partition_ms);
+    }
+    out << ",\"pareto\":" << (point.on_frontier ? "true" : "false") << "}";
+  }
+  out << "]}";
+  return out.str();
+}
+
+std::string ReferencePointJson(const std::string& binary,
+                               const std::string& platform, double speedup,
+                               double energy_savings, double area_gates,
+                               const std::vector<std::string>& hw_regions,
+                               const std::vector<std::string>& rejected) {
+  std::ostringstream out;
+  out << "{\"schema\":" << kReportSchemaVersion << ",\"binary\":\""
+      << ReferenceEscape(binary) << "\",\"platform\":\""
+      << ReferenceEscape(platform) << "\",\"speedup\":"
+      << ReferenceNumber(speedup)
+      << ",\"energy_savings\":" << ReferenceNumber(energy_savings)
+      << ",\"area_gates\":" << ReferenceNumber(area_gates)
+      << ",\"hw_regions\":" << ReferenceStrings(hw_regions)
+      << ",\"rejected\":" << ReferenceStrings(rejected) << "}";
+  return out.str();
+}
+
+std::string WriterNumber(double value) {
+  std::string out;
+  support::AppendJsonNumber(out, value);
+  return out;
+}
+
+double FromBits(std::uint64_t bits) {
+  double value = 0.0;
+  std::memcpy(&value, &bits, sizeof value);
+  return value;
+}
+
+TEST(ReportWriter, NumbersMatchPrintfPercentNineG) {
+  using Limits = std::numeric_limits<double>;
+  const std::vector<double> special = {
+      0.0, -0.0, Limits::infinity(), -Limits::infinity(),
+      Limits::quiet_NaN(), -Limits::quiet_NaN(), FromBits(0x7ff0'0000'0000'0001),
+      FromBits(0xfff8'0000'0000'0001), Limits::denorm_min(),
+      -Limits::denorm_min(), Limits::min(), Limits::max(), -Limits::max(),
+      Limits::epsilon(), 1.0, -1.0, 0.1, 1e-5, 1e-4, 1e8, 1e9, 123456789.0,
+      1234567890.0, 999999999.5, 0.000123456789, 6.225, 0.718, 1.0 / 3.0};
+  for (const double value : special) {
+    EXPECT_EQ(WriterNumber(value), ReferenceNumber(value))
+        << "bits " << std::hex << std::bit_cast<std::uint64_t>(value);
+  }
+  std::mt19937_64 rng(20051017);
+  std::uniform_real_distribution<double> report_range(0.0, 1e6);
+  std::size_t mismatches = 0;
+  for (int i = 0; i < 200'000; ++i) {
+    // Every exponent (raw bit patterns) and the magnitudes reports carry.
+    for (const double value : {FromBits(rng()), report_range(rng)}) {
+      if (WriterNumber(value) != ReferenceNumber(value) && ++mismatches < 5) {
+        ADD_FAILURE() << "bits " << std::hex
+                      << std::bit_cast<std::uint64_t>(value) << ": "
+                      << WriterNumber(value) << " vs "
+                      << ReferenceNumber(value);
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(ReportWriter, EscapingMatchesTheReference) {
+  std::string every_byte;
+  for (int c = 0; c < 256; ++c) every_byte += static_cast<char>(c);
+  EXPECT_EQ(support::JsonEscape(every_byte), ReferenceEscape(every_byte));
+  std::string appended = "prefix";
+  support::JsonEscapeTo(appended, every_byte);
+  EXPECT_EQ(appended, "prefix" + ReferenceEscape(every_byte));
+}
+
+TEST(ReportWriter, ReportsAreByteIdenticalToTheReferenceEncoder) {
+  ExploreSpec spec;
+  spec.binaries = AllWorkingBinaries();
+  // A name that needs escaping rides through every writer.
+  spec.binaries.front().name += "\"quoted\\\n\x01";
+  spec.platforms = kPaperPlatforms;
+  // The unknown strategy makes every third point an error point.
+  spec.strategies = {"paper-greedy", "knapsack-optimal", "no-such-strategy"};
+
+  Toolchain toolchain;
+  const ExploreResult result = toolchain.Explore(spec);
+  ASSERT_EQ(result.points.size(), spec.binaries.size() * 3 * 3);
+  for (const bool include_stage_ms : {false, true}) {
+    EXPECT_EQ(result.Json(include_stage_ms),
+              ReferenceExploreJson(result, include_stage_ms))
+        << "include_stage_ms=" << include_stage_ms;
+  }
+  // The serve daemon's `partition` reply for each point.
+  for (const explore::ExplorePoint& point : result.points) {
+    if (!point.status.ok()) continue;
+    EXPECT_EQ(explore::PointReportJson(
+                  point.binary_name, point.platform_name, point.speedup,
+                  point.energy_savings, point.area_gates, point.hw_names,
+                  point.rejected),
+              ReferencePointJson(point.binary_name, point.platform_name,
+                                 point.speedup, point.energy_savings,
+                                 point.area_gates, point.hw_names,
+                                 point.rejected))
+        << point.binary_name << " on " << point.platform_name;
+  }
+
+  const BatchResult batch = toolchain.RunMany(spec.binaries, kPaperPlatforms);
+  for (const Result<ToolchainRun>& run : batch.runs) {
+    ASSERT_TRUE(run.ok()) << run.status().message();
+    const ToolchainRun& value = run.value();
+    std::vector<std::string> hw_names;
+    for (const auto& region : value.partition.hw) {
+      hw_names.push_back(region.synthesized.region.name);
+    }
+    EXPECT_EQ(value.Json(),
+              ReferencePointJson(value.binary_name, value.platform_name,
+                                 value.estimate.speedup,
+                                 value.estimate.energy_savings,
+                                 value.estimate.area_gates, hw_names,
+                                 value.partition.rejected))
+        << value.binary_name << " on " << value.platform_name;
+  }
 }
 
 }  // namespace

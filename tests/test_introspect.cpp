@@ -483,6 +483,60 @@ void ExpectTraceValidates(const std::string& dir,
   EXPECT_EQ(std::system(command.c_str()), 0) << command;
 }
 
+/// Exit status of ci/validate_trace.py over `trace_json` with `flags`.
+int ValidateTrace(const std::string& dir, const std::string& trace_json,
+                  const std::string& flags) {
+  const std::string trace_path = dir + "/coverage-trace.json";
+  std::ofstream(trace_path, std::ios::binary) << trace_json;
+  const std::string command = "python3 '" B2H_SOURCE_DIR
+                              "/ci/validate_trace.py' '" +
+                              trace_path + "' --require-categories '' " +
+                              flags + " >/dev/null";
+  return std::system(command.c_str());
+}
+
+/// A hand-made trace: one `job` span over [0, 100) us whose children
+/// cover [0, 40) twice (overlapping) and [60, 110) — 80% of the parent
+/// once clipped and merged — plus an unrelated root span.
+std::string GappedTrace() {
+  const auto event = [](const char* name, double ts, double dur, int id,
+                        int parent) {
+    std::string text = std::string("{\"name\":\"") + name +
+                       "\",\"cat\":\"t\",\"ph\":\"X\",\"ts\":" +
+                       std::to_string(ts) + ",\"dur\":" + std::to_string(dur) +
+                       ",\"pid\":1,\"tid\":1,\"args\":{\"span_id\":" +
+                       std::to_string(id);
+    if (parent != 0) text += ",\"parent_id\":" + std::to_string(parent);
+    return text + "}}";
+  };
+  return "{\"otherData\":{\"dropped\":0},\"traceEvents\":[" +
+         event("job", 0, 100, 1, 0) + "," + event("stage.a", 0, 40, 2, 1) +
+         "," + event("stage.b", 10, 30, 3, 1) + "," +
+         event("stage.c", 60, 50, 4, 1) + "," + event("other", 70, 60, 5, 0) +
+         "]}";
+}
+
+TEST(TraceValidator, CoverageRuleFailsOnAnUnspannedGap) {
+  if (!HavePython3()) GTEST_SKIP() << "python3 not found";
+  TempDir scratch;
+  const std::string trace = GappedTrace();
+  EXPECT_EQ(ValidateTrace(scratch.path, trace, ""), 0);
+  EXPECT_EQ(ValidateTrace(scratch.path, trace, "--require-coverage job=0.8"),
+            0);
+  EXPECT_NE(ValidateTrace(scratch.path, trace, "--require-coverage job=0.9"),
+            0)
+      << "a 20% gap must fail a 90% coverage rule";
+  EXPECT_NE(ValidateTrace(scratch.path, trace,
+                          "--require-coverage job=0.5 "
+                          "--require-coverage other=0.1"),
+            0)
+      << "a childless span has zero coverage";
+  EXPECT_NE(ValidateTrace(scratch.path, trace,
+                          "--require-coverage missing.span=0.5"),
+            0)
+      << "a rule on a span the trace lacks must fail";
+}
+
 TEST(Forensics, DumpRequestWritesParseableBundle) {
   TempDir scratch;
   Server::Options options{scratch.path + "/serve.sock"};

@@ -311,5 +311,66 @@ TEST(Interp, StepBudgetStopsRunaways) {
   EXPECT_NE(result.error.find("budget"), std::string::npos);
 }
 
+/// main() { return *(u32*)address; } (or a store there when `store`).
+struct AccessFunction {
+  Function function{"access"};
+
+  AccessFunction(std::uint32_t address, bool store) {
+    Block* entry = function.CreateBlock("entry", 0x100);
+    const Value where = Value::Const(static_cast<std::int32_t>(address));
+    Instr* ret = function.Create(Opcode::kRet);
+    if (store) {
+      Instr* write = function.Create(Opcode::kStore);
+      write->operands = {where, Value::Const(7)};
+      entry->Append(write);
+      ret->operands = {Value::Const(0)};
+    } else {
+      ret->operands = {Value::Of(function.Emit(entry, Opcode::kLoad, {where}))};
+    }
+    entry->Append(ret);
+    function.RecomputeCfg();
+  }
+};
+
+TEST(Interp, AccessesPastTheTopOfTheAddressSpaceFaultCleanly) {
+  // addr + 4 wraps to 0 for these addresses: a 32-bit end check passes
+  // them and indexes gigabytes past the data segment.
+  for (const std::uint32_t address : {0xFFFF'FFFCu, 0xFFFF'FFF0u}) {
+    for (const bool store : {false, true}) {
+      AccessFunction access(address, store);
+      Module module;
+      module.main = &access.function;
+      Interpreter interp(module, std::vector<std::uint8_t>{});
+      const InterpResult result = interp.Run();
+      EXPECT_FALSE(result.ok) << std::hex << address;
+      EXPECT_NE(result.error.find(store ? "bad store" : "bad load"),
+                std::string::npos)
+          << result.error;
+      EXPECT_THROW((void)interp.PeekWord(address), InternalError);
+    }
+  }
+}
+
+TEST(Interp, SegmentEdgesAreEndExclusive) {
+  const InterpOptions options;
+  const std::uint32_t data_end = options.data_base + options.data_size;
+  const std::uint32_t stack_base = options.stack_top - options.stack_size;
+  struct Probe {
+    std::uint32_t address;
+    bool ok;
+  };
+  for (const Probe probe : {Probe{data_end - 4, true}, Probe{data_end, false},
+                            Probe{options.data_base - 4, false},
+                            Probe{stack_base, true},
+                            Probe{options.stack_top - 4, true},
+                            Probe{options.stack_top, false}}) {
+    AccessFunction access(probe.address, /*store=*/false);
+    Module module;
+    module.main = &access.function;
+    Interpreter interp(module, std::vector<std::uint8_t>{});
+    EXPECT_EQ(interp.Run().ok, probe.ok) << std::hex << probe.address;
+  }
+}
+
 }  // namespace
 }  // namespace b2h::ir

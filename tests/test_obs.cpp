@@ -439,8 +439,18 @@ TEST(ObsEndToEnd, TracedExploreEmitsSpansFromEveryLayer) {
   std::set<std::string> categories;
   double last_ts = 0.0;
   std::set<double> span_ids;
+  double decompile_id = 0.0;
+  for (const JsonValue& event : events->array()) {
+    if (event.GetString("name") == "explore.decompile") {
+      decompile_id = event.Find("args")->GetNumber("span_id");
+    }
+  }
+  std::set<std::string> decompile_children;
   for (const JsonValue& event : events->array()) {
     categories.insert(event.GetString("cat"));
+    if (event.Find("args")->GetNumber("parent_id") == decompile_id) {
+      decompile_children.insert(event.GetString("name"));
+    }
     EXPECT_EQ(event.GetString("ph"), "X");
     const double ts = event.GetNumber("ts");
     EXPECT_GE(ts, last_ts);  // exporter contract: sorted by start
@@ -455,6 +465,14 @@ TEST(ObsEndToEnd, TracedExploreEmitsSpansFromEveryLayer) {
        {"decomp", "partition", "explore", "cache", "sim"}) {
     EXPECT_EQ(categories.count(required), 1u)
         << "no spans from the '" << required << "' layer";
+  }
+  // The cold decompile job is spanned end to end: no stage of it hides in
+  // the parent's self time (ci/validate_trace.py --require-coverage).
+  for (const char* stage : {"sim.construct", "sim.run", "sim.teardown",
+                            "decomp.lift", "decomp.pipeline",
+                            "decomp.finish"}) {
+    EXPECT_EQ(decompile_children.count(stage), 1u)
+        << stage << " is not a child of explore.decompile";
   }
 }
 

@@ -114,5 +114,59 @@ TEST(RtlSim, LiveOutValuesExposed) {
   EXPECT_TRUE(region.live_ins.empty());
 }
 
+/// Synthesizes main() { return *(u32*)address; } (or a store there) and
+/// runs it on the RTL model.
+RtlResult RunAccess(std::uint32_t address, bool store) {
+  ir::Function function("access");
+  ir::Block* entry = function.CreateBlock("entry", 0x100);
+  const ir::Value where =
+      ir::Value::Const(static_cast<std::int32_t>(address));
+  ir::Instr* ret = function.Create(ir::Opcode::kRet);
+  if (store) {
+    ir::Instr* write = function.Create(ir::Opcode::kStore);
+    write->operands = {where, ir::Value::Const(7)};
+    entry->Append(write);
+    ret->operands = {ir::Value::Const(0)};
+  } else {
+    ret->operands = {
+        ir::Value::Of(function.Emit(entry, ir::Opcode::kLoad, {where}))};
+  }
+  entry->Append(ret);
+  function.RecomputeCfg();
+
+  const HwRegion region = ExtractFunctionRegion(function);
+  EXPECT_TRUE(region.synthesizable) << region.reject_reason;
+  auto synthesized = Synthesize(region, nullptr);
+  EXPECT_TRUE(synthesized.ok()) << synthesized.status().message();
+  if (!synthesized.ok()) return {};
+  RtlSimulator rtl(region, synthesized.value().schedule,
+                   std::vector<std::uint8_t>{});
+  return rtl.Run();
+}
+
+TEST(RtlSim, AccessesPastTheTopOfTheAddressSpaceFaultCleanly) {
+  // addr + 4 wraps to 0 for these addresses: a 32-bit end check passes
+  // them and indexes gigabytes past the data segment.
+  for (const std::uint32_t address : {0xFFFF'FFFCu, 0xFFFF'FFF0u}) {
+    for (const bool store : {false, true}) {
+      const RtlResult result = RunAccess(address, store);
+      EXPECT_FALSE(result.ok) << std::hex << address;
+      EXPECT_NE(result.error.find(store ? "bad store" : "bad load"),
+                std::string::npos)
+          << result.error;
+    }
+  }
+  const RtlOptions options;
+  const std::uint32_t data_end = options.data_base + options.data_size;
+  EXPECT_TRUE(RunAccess(data_end - 4, /*store=*/false).ok);
+  EXPECT_FALSE(RunAccess(data_end, /*store=*/false).ok);
+
+  const HwRegion empty;
+  const RegionSchedule schedule;
+  const RtlSimulator rtl(empty, schedule, std::vector<std::uint8_t>{});
+  EXPECT_THROW((void)rtl.PeekWord(0xFFFF'FFFCu), InternalError);
+  EXPECT_EQ(rtl.PeekWord(data_end - 4), 0u);
+}
+
 }  // namespace
 }  // namespace b2h::synth

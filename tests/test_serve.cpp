@@ -912,14 +912,21 @@ TEST(ServeWarmPath, TraceAndMetricsTellInlineFromScheduled) {
   EXPECT_EQ(registry.counter("serve.inline_hits").Value(), 1u);
   EXPECT_EQ(registry.histogram("serve.queue_wait_ms").Count(), 1u);
   EXPECT_EQ(registry.histogram("serve.latency_ms.partition").Count(), 2u);
+  // One scheduled job ran; the first reply's frame write is recorded before
+  // the connection reads the second request (the second may still race).
+  EXPECT_EQ(registry.histogram("serve.execute_ms").Count(), 1u);
+  EXPECT_GE(registry.histogram("serve.write_ms").Count(), 1u);
 
   const std::vector<obs::Span> spans = obs::Tracer::Global().FlightSnapshot();
   std::map<std::uint64_t, std::string> names;
   for (const obs::Span& span : spans) names[span.id] = span.name;
   int warm_hits = 0;
   int queue_waits = 0;
+  int writes = 0;
   for (const obs::Span& span : spans) {
-    if (span.name == "serve.warm_hit") {
+    if (span.name == "serve.write") {
+      ++writes;
+    } else if (span.name == "serve.warm_hit") {
       ++warm_hits;
       EXPECT_EQ(names[span.parent], "serve.request");
     } else if (span.name == "serve.queue_wait") {
@@ -929,6 +936,7 @@ TEST(ServeWarmPath, TraceAndMetricsTellInlineFromScheduled) {
   }
   EXPECT_EQ(warm_hits, 1);
   EXPECT_EQ(queue_waits, 1);
+  EXPECT_GE(writes, 1);
 }
 
 // A partial hit (decompile resident, partition key cold) goes to the
