@@ -17,6 +17,7 @@
 #include "mips/simulator.hpp"
 #include "suite/runner.hpp"
 #include "suite/suite.hpp"
+#include "support/guest_memory.hpp"
 #include "synth/rtl_sim.hpp"
 #include "synth/synth.hpp"
 
@@ -76,7 +77,7 @@ int main(int argc, char** argv) {
   synth::RtlSimulator rtl(region, synthesized.value().schedule,
                           binary.value().data);
   std::map<unsigned, std::int32_t> inputs;
-  inputs[29] = static_cast<std::int32_t>(mips::kStackTop - 64);
+  inputs[29] = static_cast<std::int32_t>(support::GuestMemory::kInitialSp);
   const auto result = rtl.Run({}, inputs);
   if (!result.ok) {
     printf("RTL simulation failed: %s\n", result.error.c_str());

@@ -3,14 +3,15 @@
 #include <algorithm>
 #include <optional>
 
+#include "support/guest_memory.hpp"
+
 namespace b2h::decomp {
 namespace {
 
 using ir::Opcode;
 using ir::Value;
 
-constexpr std::uint32_t kDataBase = 0x1000'0000u;
-constexpr std::uint32_t kStackBase = 0x7FF0'0000u;
+using support::GuestMemory;
 
 /// Additive decomposition of an address expression: constant part plus
 /// non-constant leaves (looking through adds/subs only).
@@ -52,7 +53,7 @@ AliasAnalysis::AliasAnalysis(
     : function_(function) {
   if (data_symbols != nullptr) {
     for (const auto& [name, addr] : *data_symbols) {
-      if (addr >= kDataBase && addr < kStackBase) {
+      if (addr >= GuestMemory::kDataBase && addr < GuestMemory::kStackBase) {
         sorted_symbols_.emplace_back(addr, name);
       }
     }
@@ -83,7 +84,8 @@ int AliasAnalysis::ClassifyAddress(const Value& addr) {
 
   const auto base = static_cast<std::uint64_t>(decomp.const_sum);
   // Global array: constant base inside the data segment.
-  if (decomp.const_sum > 0 && base >= kDataBase && base < kStackBase) {
+  if (decomp.const_sum > 0 && base >= GuestMemory::kDataBase &&
+      base < GuestMemory::kStackBase) {
     MemRegion region;
     region.kind = MemRegion::Kind::kGlobal;
     region.key = base;

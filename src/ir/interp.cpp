@@ -1,7 +1,6 @@
 #include "ir/interp.hpp"
 
 #include <array>
-#include <cstring>
 #include <unordered_map>
 
 #include "support/bits.hpp"
@@ -19,22 +18,7 @@ constexpr std::uint16_t kRegSp = 29;
 Interpreter::Interpreter(const Module& module,
                          std::span<const std::uint8_t> initial_data,
                          InterpOptions options)
-    : module_(module), options_(options) {
-  data_mem_.assign(options_.data_size, 0);
-  if (!initial_data.empty()) {
-    std::memcpy(data_mem_.data(), initial_data.data(),
-                std::min<std::size_t>(initial_data.size(), data_mem_.size()));
-  }
-  stack_mem_.assign(options_.stack_size, 0);
-}
-
-std::uint32_t Interpreter::PeekWord(std::uint32_t addr) const {
-  Check(InSegment(addr, 4, options_.data_base, data_mem_.size()),
-        "Interpreter::PeekWord outside data");
-  std::uint32_t value;
-  std::memcpy(&value, data_mem_.data() + (addr - options_.data_base), 4);
-  return value;
-}
+    : module_(module), options_(options), memory_(initial_data) {}
 
 InterpResult Interpreter::Run(std::span<const std::int32_t> args) {
   InterpResult result;
@@ -42,18 +26,6 @@ InterpResult Interpreter::Run(std::span<const std::int32_t> args) {
     result.error = "module has no main";
     return result;
   }
-
-  const auto mem_ptr = [this](std::uint32_t addr,
-                              unsigned size) -> std::uint8_t* {
-    if (InSegment(addr, size, options_.data_base, data_mem_.size())) {
-      return data_mem_.data() + (addr - options_.data_base);
-    }
-    const std::uint32_t stack_base = options_.stack_top - options_.stack_size;
-    if (InSegment(addr, size, stack_base, stack_mem_.size())) {
-      return stack_mem_.data() + (addr - stack_base);
-    }
-    return nullptr;
-  };
 
   // Explicit call stack (recursion depth bounded only by memory).
   struct Activation {
@@ -80,7 +52,7 @@ InterpResult Interpreter::Run(std::span<const std::int32_t> args) {
   for (std::size_t i = 0; i < args.size() && i < 4; ++i) {
     main_inputs[i] = args[i];
   }
-  main_inputs[4] = static_cast<std::int32_t>(options_.stack_top - 64);
+  main_inputs[4] = static_cast<std::int32_t>(support::GuestMemory::kInitialSp);
   enter(module_.main, main_inputs);
 
   std::int32_t last_return = 0;
@@ -209,13 +181,11 @@ InterpResult Interpreter::Run(std::span<const std::int32_t> args) {
       case Opcode::kLoad: {
         const std::uint32_t addr = uoperand(0);
         const unsigned size = in->mem_bytes;
-        const std::uint8_t* p = mem_ptr(addr, size);
-        if (p == nullptr || (addr & (size - 1)) != 0) {
+        std::uint32_t raw = 0;
+        if ((addr & (size - 1)) != 0 || !memory_.Load(addr, size, &raw)) {
           result.error = "interp: bad load address";
           return result;
         }
-        std::uint32_t raw = 0;
-        for (unsigned b = 0; b < size; ++b) raw |= static_cast<std::uint32_t>(p[b]) << (8 * b);
         if (size < 4) {
           out = in->mem_signed ? SignExtend(raw, size * 8)
                                : static_cast<std::int32_t>(raw);
@@ -228,12 +198,10 @@ InterpResult Interpreter::Run(std::span<const std::int32_t> args) {
         const std::uint32_t addr = uoperand(0);
         const std::uint32_t value = uoperand(1);
         const unsigned size = in->mem_bytes;
-        std::uint8_t* p = mem_ptr(addr, size);
-        if (p == nullptr || (addr & (size - 1)) != 0) {
+        if ((addr & (size - 1)) != 0 || !memory_.Store(addr, size, value)) {
           result.error = "interp: bad store address";
           return result;
         }
-        for (unsigned b = 0; b < size; ++b) p[b] = static_cast<std::uint8_t>((value >> (8 * b)) & 0xFFu);
         produces = false;
         break;
       }

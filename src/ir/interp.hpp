@@ -16,17 +16,14 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
+#include <string>
 
 #include "ir/ir.hpp"
+#include "support/guest_memory.hpp"
 
 namespace b2h::ir {
 
 struct InterpOptions {
-  std::uint32_t data_base = 0x1000'0000u;
-  std::uint32_t stack_top = 0x7FFF'F000u;
-  std::uint32_t stack_size = 1u << 16;
-  std::uint32_t data_size = 1u << 20;
   std::uint64_t max_steps = 200'000'000;
 };
 
@@ -45,14 +42,15 @@ class Interpreter {
 
   [[nodiscard]] InterpResult Run(std::span<const std::int32_t> args = {});
 
-  /// Inspect data memory after a run (for tests on array outputs).
-  [[nodiscard]] std::uint32_t PeekWord(std::uint32_t addr) const;
+  /// Inspect guest memory after a run (for tests on array outputs).
+  [[nodiscard]] std::uint32_t PeekWord(std::uint32_t addr) const {
+    return memory_.Peek(addr);
+  }
 
  private:
   const Module& module_;
   InterpOptions options_;
-  std::vector<std::uint8_t> data_mem_;
-  std::vector<std::uint8_t> stack_mem_;
+  support::GuestMemory memory_;
 };
 
 }  // namespace b2h::ir

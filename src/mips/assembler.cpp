@@ -5,10 +5,12 @@
 #include <map>
 #include <optional>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "mips/isa.hpp"
 #include "support/bits.hpp"
+#include "support/guest_memory.hpp"
 
 namespace b2h::mips {
 namespace {
@@ -179,6 +181,7 @@ class Assembler {
     }
     if (head == ".word") {
       if (in_text_) return Fail(line, ".word only allowed in .data");
+      if (!DataFits(4 * (tokens.size() - 1))) return DataTooLarge(line);
       for (std::size_t i = 1; i < tokens.size(); ++i) {
         PendingDataWord word;
         word.offset = data_.size();
@@ -194,6 +197,7 @@ class Assembler {
     }
     if (head == ".byte") {
       if (in_text_) return Fail(line, ".byte only allowed in .data");
+      if (!DataFits(tokens.size() - 1)) return DataTooLarge(line);
       for (std::size_t i = 1; i < tokens.size(); ++i) {
         const auto value = ParseInt(tokens[i]);
         if (!value) return Fail(line, "bad .byte value");
@@ -207,6 +211,9 @@ class Assembler {
       }
       const auto size = ParseInt(tokens[1]);
       if (!size || *size < 0) return Fail(line, "bad .space size");
+      if (!DataFits(static_cast<std::uint64_t>(*size))) {
+        return DataTooLarge(line);
+      }
       data_.insert(data_.end(), static_cast<std::size_t>(*size), 0);
       return Status::Ok();
     }
@@ -224,6 +231,16 @@ class Assembler {
 
   [[nodiscard]] std::uint32_t TextAddress() const {
     return kTextBase + text_words_ * 4u;
+  }
+  /// The data image must fit the guest data segment: executors map it
+  /// there whole, so anything larger could never be loaded.
+  [[nodiscard]] bool DataFits(std::uint64_t more_bytes) const {
+    return more_bytes <= support::GuestMemory::kDataSize - data_.size();
+  }
+  Status DataTooLarge(int line) const {
+    return Fail(line, "data exceeds the " +
+                          std::to_string(support::GuestMemory::kDataSize) +
+                          "-byte data segment");
   }
   [[nodiscard]] std::uint32_t DataAddress() const {
     return kDataBase + static_cast<std::uint32_t>(data_.size());

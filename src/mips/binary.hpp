@@ -13,12 +13,15 @@
 #include <string>
 #include <vector>
 
+#include "support/guest_memory.hpp"
+
 namespace b2h::mips {
 
-/// Memory layout constants of the hypothetical platform.
+/// Memory layout constants of the hypothetical platform.  Data and stack
+/// belong to the guest memory model shared by all executors
+/// (support/guest_memory.hpp); text is read from the binary itself.
 inline constexpr std::uint32_t kTextBase = 0x0040'0000u;
-inline constexpr std::uint32_t kDataBase = 0x1000'0000u;
-inline constexpr std::uint32_t kStackTop = 0x7FFF'F000u;
+inline constexpr std::uint32_t kDataBase = support::GuestMemory::kDataBase;
 /// Return-address sentinel: when the PC reaches this address the program has
 /// returned from its entry function and the simulator halts.
 inline constexpr std::uint32_t kHaltAddress = 0xDEAD'0000u;

@@ -3,7 +3,6 @@
 #include <array>
 #include <bit>
 #include <cstdlib>
-#include <cstring>
 #include <sstream>
 #include <string_view>
 
@@ -52,44 +51,8 @@ Simulator::Simulator(const SoftBinary& binary, CycleModel model,
     : binary_(binary),
       model_(model),
       engine_(engine),
-      pre_(SharedBlockCache::Global().Obtain(binary, model)) {
-  data_mem_.resize(kDataSegmentSize, 0);
-  if (!binary.data.empty()) {
-    std::memcpy(data_mem_.data(), binary.data.data(),
-                std::min<std::size_t>(binary.data.size(), data_mem_.size()));
-  }
-  stack_mem_.resize(kStackSize, 0);
-}
-
-const std::uint8_t* Simulator::MemPtr(std::uint32_t addr,
-                                      unsigned size) const {
-  return const_cast<Simulator*>(this)->MemPtr(addr, size);
-}
-
-std::uint8_t* Simulator::MemPtr(std::uint32_t addr, unsigned size) {
-  if (InSegment(addr, size, kDataBase, data_mem_.size())) {
-    return data_mem_.data() + (addr - kDataBase);
-  }
-  const std::uint32_t stack_base = kStackTop - kStackSize;
-  if (InSegment(addr, size, stack_base, kStackSize)) {
-    return stack_mem_.data() + (addr - stack_base);
-  }
-  return nullptr;
-}
-
-std::uint32_t Simulator::PeekWord(std::uint32_t addr) const {
-  const std::uint8_t* p = MemPtr(addr, 4);
-  Check(p != nullptr, "PeekWord: address outside memory");
-  std::uint32_t value;
-  std::memcpy(&value, p, 4);
-  return value;
-}
-
-void Simulator::PokeWord(std::uint32_t addr, std::uint32_t value) {
-  std::uint8_t* p = MemPtr(addr, 4);
-  Check(p != nullptr, "PokeWord: address outside memory");
-  std::memcpy(p, &value, 4);
-}
+      pre_(SharedBlockCache::Global().Obtain(binary, model)),
+      memory_(binary.data) {}
 
 // ---------------------------------------------------------------------------
 // Trace-compiled run loops.  The loop body lives in exec_block_body.inc and
@@ -322,7 +285,7 @@ RunResult Simulator::ExecReference(std::span<const std::int32_t> args,
   std::array<std::int32_t, 32> regs{};
   std::int32_t hi = 0;
   std::int32_t lo = 0;
-  regs[kSp] = static_cast<std::int32_t>(kStackTop - 64);
+  regs[kSp] = static_cast<std::int32_t>(support::GuestMemory::kInitialSp);
   regs[kRa] = static_cast<std::int32_t>(kHaltAddress);
   for (std::size_t i = 0; i < args.size() && i < 4; ++i) {
     regs[kA0 + i] = args[i];
@@ -448,14 +411,10 @@ RunResult Simulator::ExecReference(std::span<const std::int32_t> args,
         const std::uint32_t addr = rs + static_cast<std::uint32_t>(in.imm);
         const unsigned size = in.op == Op::kLw ? 4 : (in.op == Op::kLh || in.op == Op::kLhu) ? 2 : 1;
         if ((addr & (size - 1)) != 0) return fault("unaligned load");
-        // Word loads from .text are allowed (jump tables / constant pools).
         std::uint32_t raw = 0;
-        if (in.op == Op::kLw && binary_.ContainsText(addr)) {
-          raw = binary_.WordAt(addr);
-        } else {
-          const std::uint8_t* p = MemPtr(addr, size);
-          if (p == nullptr) return fault("load outside memory");
-          for (unsigned b = 0; b < size; ++b) raw |= static_cast<std::uint32_t>(p[b]) << (8 * b);
+        if (!(in.op == Op::kLw ? LoadTextOrData(addr, &raw)
+                               : memory_.Load(addr, size, &raw))) {
+          return fault("load outside memory");
         }
         write_reg = in.rt;
         switch (in.op) {
@@ -471,9 +430,7 @@ RunResult Simulator::ExecReference(std::span<const std::int32_t> args,
         const std::uint32_t addr = rs + static_cast<std::uint32_t>(in.imm);
         const unsigned size = in.op == Op::kSw ? 4 : in.op == Op::kSh ? 2 : 1;
         if ((addr & (size - 1)) != 0) return fault("unaligned store");
-        std::uint8_t* p = MemPtr(addr, size);
-        if (p == nullptr) return fault("store outside memory");
-        for (unsigned b = 0; b < size; ++b) p[b] = static_cast<std::uint8_t>((rt >> (8 * b)) & 0xFFu);
+        if (!memory_.Store(addr, size, rt)) return fault("store outside memory");
         break;
       }
       case Op::kBeq:  taken = srs == srt; break;

@@ -48,6 +48,7 @@
 #include "mips/block_cache.hpp"
 #include "mips/isa.hpp"
 #include "mips/shared_cache.hpp"
+#include "support/guest_memory.hpp"
 
 namespace b2h::mips {
 
@@ -172,11 +173,13 @@ class Simulator {
       RunObserver* observer);
 
   /// Direct memory access for tests and for host-side result inspection.
-  [[nodiscard]] std::uint32_t PeekWord(std::uint32_t addr) const;
-  void PokeWord(std::uint32_t addr, std::uint32_t value);
+  [[nodiscard]] std::uint32_t PeekWord(std::uint32_t addr) const {
+    return memory_.Peek(addr);
+  }
+  void PokeWord(std::uint32_t addr, std::uint32_t value) {
+    memory_.Poke(addr, value);
+  }
 
-  static constexpr std::uint32_t kDataSegmentSize = 1u << 20;  // 1 MiB
-  static constexpr std::uint32_t kStackSize = 1u << 16;        // 64 KiB
   /// Latch events buffered per observer callback (see RunObserver).
   static constexpr std::size_t kBranchBatch = 128;
   /// A partial batch is flushed once this many instructions have elapsed
@@ -224,9 +227,18 @@ class Simulator {
                                         std::uint64_t max_instructions,
                                         RunObserver* observer);
 
-  [[nodiscard]] const std::uint8_t* MemPtr(std::uint32_t addr,
-                                           unsigned size) const;
-  [[nodiscard]] std::uint8_t* MemPtr(std::uint32_t addr, unsigned size);
+  /// The `lw` load shared by every engine: word loads from .text are
+  /// allowed (jump tables / constant pools), anything else reads guest
+  /// memory.  False when `addr` is in neither.  Alignment is the caller's.
+  /// Forced inline like GuestMemory::Load, for the same reason.
+  [[nodiscard, gnu::always_inline]] bool LoadTextOrData(
+      std::uint32_t addr, std::uint32_t* raw) const noexcept {
+    if (binary_.ContainsText(addr)) {
+      *raw = binary_.text[(addr - kTextBase) / 4u];
+      return true;
+    }
+    return memory_.Load(addr, 4, raw);
+  }
 
   /// The engine bodies build their RunResult from this: whatever storage
   /// the recycling Run() overload parked in `recycle_` (empty otherwise),
@@ -259,8 +271,7 @@ class Simulator {
   /// and the superblock trace tables (block engines).  One per process per
   /// (text, cycle model) — see SharedBlockCache.
   std::shared_ptr<const PredecodedProgram> pre_;
-  std::vector<std::uint8_t> data_mem_;
-  std::vector<std::uint8_t> stack_mem_;
+  support::GuestMemory memory_;
 };
 
 }  // namespace b2h::mips

@@ -3,7 +3,6 @@
 #pragma once
 
 #include <bit>
-#include <cstddef>
 #include <cstdint>
 
 namespace b2h {
@@ -55,20 +54,6 @@ namespace b2h {
 /// Mask with the low `width` bits set (width in 0..32).
 [[nodiscard]] constexpr std::uint32_t LowMask(unsigned width) noexcept {
   return width >= 32 ? 0xFFFF'FFFFu : ((1u << width) - 1u);
-}
-
-/// True when the `size` bytes at guest address `addr` all lie in the
-/// segment [base, base + segment_size).  End-exclusive and wrap-safe: a
-/// naive `addr + size <= end` wraps 32 bits for `addr` near UINT32_MAX and
-/// passes, so this compares the offset into the segment against the
-/// segment size instead; neither subtraction can wrap once `addr >= base`.
-/// Every guest executor's memory accesses go through this check.
-[[nodiscard]] constexpr bool InSegment(std::uint32_t addr, unsigned size,
-                                       std::uint32_t base,
-                                       std::size_t segment_size) noexcept {
-  if (addr < base) return false;
-  const std::size_t offset = addr - base;
-  return offset < segment_size && size <= segment_size - offset;
 }
 
 }  // namespace b2h

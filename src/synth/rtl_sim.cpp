@@ -1,7 +1,6 @@
 #include "synth/rtl_sim.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <unordered_map>
 
 #include "support/bits.hpp"
@@ -11,28 +10,16 @@ namespace {
 
 using ir::Opcode;
 
+/// Run() gives up with "rtl: cycle budget exhausted" past this many FSM
+/// cycles.
+constexpr std::uint64_t kMaxCycles = 500'000'000;
+
 }  // namespace
 
 RtlSimulator::RtlSimulator(const HwRegion& region,
                            const RegionSchedule& schedule,
-                           std::span<const std::uint8_t> initial_data,
-                           RtlOptions options)
-    : region_(region), schedule_(schedule), options_(options) {
-  data_mem_.assign(options_.data_size, 0);
-  if (!initial_data.empty()) {
-    std::memcpy(data_mem_.data(), initial_data.data(),
-                std::min<std::size_t>(initial_data.size(), data_mem_.size()));
-  }
-  stack_mem_.assign(options_.stack_size, 0);
-}
-
-std::uint32_t RtlSimulator::PeekWord(std::uint32_t addr) const {
-  Check(InSegment(addr, 4, options_.data_base, data_mem_.size()),
-        "RtlSimulator::PeekWord outside data");
-  std::uint32_t value;
-  std::memcpy(&value, data_mem_.data() + (addr - options_.data_base), 4);
-  return value;
-}
+                           std::span<const std::uint8_t> initial_data)
+    : region_(region), schedule_(schedule), memory_(initial_data) {}
 
 RtlResult RtlSimulator::Run(
     const std::map<const ir::Instr*, std::int32_t>& live_in_values,
@@ -44,18 +31,6 @@ RtlResult RtlSimulator::Run(
     return result;
   };
 
-  const auto mem_ptr = [this](std::uint32_t addr,
-                              unsigned size) -> std::uint8_t* {
-    if (InSegment(addr, size, options_.data_base, data_mem_.size())) {
-      return data_mem_.data() + (addr - options_.data_base);
-    }
-    const std::uint32_t stack_base = options_.stack_top - options_.stack_size;
-    if (InSegment(addr, size, stack_base, stack_mem_.size())) {
-      return stack_mem_.data() + (addr - stack_base);
-    }
-    return nullptr;
-  };
-
   // Register file: values produced by instructions.  Availability tracking
   // enforces schedule legality during execution.
   std::unordered_map<const ir::Instr*, std::int32_t> values;
@@ -65,7 +40,7 @@ RtlResult RtlSimulator::Run(
   const ir::Block* prev_block = nullptr;
 
   while (true) {
-    if (result.fsm_cycles >= options_.max_cycles) {
+    if (result.fsm_cycles >= kMaxCycles) {
       return fail("rtl: cycle budget exhausted");
     }
     const BlockSchedule* bs = schedule_.ForBlock(block);
@@ -224,13 +199,9 @@ RtlResult RtlSimulator::Run(
           break;
         case Opcode::kLoad: {
           const unsigned size = instr->mem_bytes;
-          std::uint8_t* p = mem_ptr(ua, size);
-          if (p == nullptr || (ua & (size - 1)) != 0) {
-            return fail("rtl: bad load address");
-          }
           std::uint32_t raw = 0;
-          for (unsigned i = 0; i < size; ++i) {
-            raw |= static_cast<std::uint32_t>(p[i]) << (8 * i);
+          if ((ua & (size - 1)) != 0 || !memory_.Load(ua, size, &raw)) {
+            return fail("rtl: bad load address");
           }
           out = size < 4 ? (instr->mem_signed
                                 ? SignExtend(raw, size * 8)
@@ -240,12 +211,8 @@ RtlResult RtlSimulator::Run(
         }
         case Opcode::kStore: {
           const unsigned size = instr->mem_bytes;
-          std::uint8_t* p = mem_ptr(ua, size);
-          if (p == nullptr || (ua & (size - 1)) != 0) {
+          if ((ua & (size - 1)) != 0 || !memory_.Store(ua, size, ub)) {
             return fail("rtl: bad store address");
-          }
-          for (unsigned i = 0; i < size; ++i) {
-            p[i] = static_cast<std::uint8_t>((ub >> (8 * i)) & 0xFFu);
           }
           break;
         }

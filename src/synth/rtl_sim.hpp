@@ -13,19 +13,11 @@
 #include <map>
 #include <span>
 #include <string>
-#include <vector>
 
+#include "support/guest_memory.hpp"
 #include "synth/schedule.hpp"
 
 namespace b2h::synth {
-
-struct RtlOptions {
-  std::uint32_t data_base = 0x1000'0000u;
-  std::uint32_t stack_top = 0x7FFF'F000u;
-  std::uint32_t stack_size = 1u << 16;
-  std::uint32_t data_size = 1u << 20;
-  std::uint64_t max_cycles = 500'000'000;
-};
 
 struct RtlResult {
   bool ok = false;
@@ -38,8 +30,7 @@ struct RtlResult {
 class RtlSimulator {
  public:
   RtlSimulator(const HwRegion& region, const RegionSchedule& schedule,
-               std::span<const std::uint8_t> initial_data,
-               RtlOptions options = {});
+               std::span<const std::uint8_t> initial_data);
 
   /// `live_in_values`: value for every live-in instruction (input ports);
   /// `inputs` additionally provides kInput registers for function regions
@@ -48,14 +39,14 @@ class RtlSimulator {
       const std::map<const ir::Instr*, std::int32_t>& live_in_values = {},
       const std::map<unsigned, std::int32_t>& inputs = {});
 
-  [[nodiscard]] std::uint32_t PeekWord(std::uint32_t addr) const;
+  [[nodiscard]] std::uint32_t PeekWord(std::uint32_t addr) const {
+    return memory_.Peek(addr);
+  }
 
  private:
   const HwRegion& region_;
   const RegionSchedule& schedule_;
-  RtlOptions options_;
-  std::vector<std::uint8_t> data_mem_;
-  std::vector<std::uint8_t> stack_mem_;
+  support::GuestMemory memory_;
 };
 
 }  // namespace b2h::synth

@@ -5,6 +5,7 @@
 
 #include "mips/isa.hpp"
 #include "mips/simulator.hpp"
+#include "support/guest_memory.hpp"
 
 namespace b2h::mips {
 namespace {
@@ -130,6 +131,52 @@ TEST(Assembler, WordLabelReferences) {
   ASSERT_TRUE(binary.ok()) << binary.status().message();
   Simulator sim(binary.value());
   EXPECT_EQ(static_cast<std::uint32_t>(sim.Run().return_value), kDataBase);
+}
+
+TEST(Assembler, DataLargerThanTheDataSegmentIsRejected) {
+  // One byte too many: rejected up front, naming the segment size, instead
+  // of being cut short by the executors and faulting later.
+  for (const char* data : {".space 1048577\n",
+                           ".space 1048576\n .byte 1\n",
+                           ".space 1048576\n .word 7\n",
+                           ".space 4294967296\n"}) {
+    SCOPED_TRACE(data);
+    const auto status =
+        Assemble(std::string("main:\n jr $ra\n.data\n") + data).status();
+    EXPECT_EQ(status.kind(), ErrorKind::kParse);
+    EXPECT_NE(status.message().find("1048576-byte data segment"),
+              std::string::npos)
+        << status.message();
+  }
+}
+
+TEST(Assembler, DataFillingTheDataSegmentAssembles) {
+  // Exactly 1 MiB fits, and its last byte is readable at the segment end.
+  auto binary = Assemble(R"(
+    main:
+      la $t0, tail
+      lbu $v0, 0($t0)
+      jr $ra
+    .data
+    pad:
+      .space 1048575
+    tail:
+      .byte 42
+  )");
+  ASSERT_TRUE(binary.ok()) << binary.status().message();
+  EXPECT_EQ(binary.value().data.size(), support::GuestMemory::kDataSize);
+  EXPECT_EQ(binary.value().symbols.at("tail"),
+            kDataBase + support::GuestMemory::kDataSize - 1);
+  Simulator sim(binary.value());
+  const RunResult run = sim.Run();
+  ASSERT_EQ(run.reason, HaltReason::kReturned) << run.fault_message;
+  EXPECT_EQ(run.return_value, 42);
+
+  auto spaced = Assemble("main:\n jr $ra\n.data\n .space 1048576\n");
+  ASSERT_TRUE(spaced.ok()) << spaced.status().message();
+  Simulator zeros(spaced.value());
+  EXPECT_EQ(zeros.PeekWord(kDataBase + support::GuestMemory::kDataSize - 4),
+            0u);
 }
 
 TEST(Assembler, Errors) {

@@ -28,8 +28,10 @@
 #include "mips/assembler.hpp"
 #include "mips/shared_cache.hpp"
 #include "mips/simulator.hpp"
+#include "mips/translate.hpp"
 #include "suite/runner.hpp"
 #include "suite/suite.hpp"
+#include "support/guest_memory.hpp"
 
 namespace b2h::mips {
 namespace {
@@ -455,6 +457,107 @@ TEST(BlockEngine, JumpTableBudgetSweepBitIdentical) {
   for (std::uint64_t budget : {463u, 1999u}) {
     SCOPED_TRACE("budget " + std::to_string(budget));
     ExpectEnginesAgree(binary.value(), budget);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Faults at the guest-memory segment ends inside promoted tier-3 traces.
+
+constexpr std::uint32_t kDataEnd =
+    support::GuestMemory::kDataBase + support::GuestMemory::kDataSize;
+constexpr std::uint32_t kStackTop = support::GuestMemory::kStackTop;
+/// Loop trips before the walking pointer reaches the segment end: well past
+/// the tier-3 promotion threshold, so the fault fires in a trace that
+/// was promoted mid-run (and, in the warm pass, from the start).
+constexpr std::uint32_t kWalkTrips =
+    3 * translate::TranslationBank::kPromoteThreshold;
+
+/// A loop that walks a pointer up to `end` in steps of `width` bytes and
+/// never stops on its own: each trip loads (signed and unsigned forms) and
+/// stores at the pointer, in the order `store_first` picks, so the first
+/// access at `end` faults — on the store or on the load.
+std::string SegmentWalkProgram(std::uint32_t end, unsigned width,
+                               bool store_first) {
+  const char* load_signed = width == 4 ? "lw" : width == 2 ? "lh" : "lb";
+  const char* load_unsigned = width == 4 ? "lw" : width == 2 ? "lhu" : "lbu";
+  const char* store = width == 4 ? "sw" : width == 2 ? "sh" : "sb";
+  std::ostringstream s;
+  s << "main:\n";
+  s << "  li $t0, " << end - kWalkTrips * width << "\n";
+  s << "  li $v0, 1\n";
+  s << "loop:\n";
+  if (store_first) s << "  " << store << " $v0, 0($t0)\n";
+  s << "  " << load_signed << " $t1, 0($t0)\n";
+  s << "  " << load_unsigned << " $t2, 0($t0)\n";
+  s << "  addu $v0, $v0, $t1\n";
+  s << "  xor $v0, $v0, $t2\n";
+  if (!store_first) s << "  " << store << " $v0, 0($t0)\n";
+  s << "  addiu $t0, $t0, " << width << "\n";
+  s << "  j loop\n";
+  return s.str();
+}
+
+/// Runs a program that must fault with `message` on every engine, and
+/// checks that tier 3 promoted at least one of its traces.
+void ExpectSegmentEndFault(const std::string& source,
+                           const std::string& message) {
+  SCOPED_TRACE(source);
+  auto binary = Assemble(source);
+  ASSERT_TRUE(binary.ok()) << binary.status().message();
+  const std::uint64_t translated_before =
+      SharedBlockCache::Global().stats().translated_traces;
+  ExpectEnginesAgree(binary.value());
+  EXPECT_GT(SharedBlockCache::Global().stats().translated_traces,
+            translated_before);
+  Simulator sim(binary.value());
+  const RunResult run = sim.Run();
+  EXPECT_EQ(run.reason, HaltReason::kFault);
+  EXPECT_NE(run.fault_message.find(message), std::string::npos)
+      << run.fault_message;
+  EXPECT_GT(run.instructions, 7u * kWalkTrips);
+}
+
+TEST(BlockEngine, HotLoopsFaultAtTheSegmentEndsBitIdentical) {
+  for (const std::uint32_t end : {kDataEnd, kStackTop}) {
+    for (const unsigned width : {4u, 2u, 1u}) {
+      for (const bool store_first : {true, false}) {
+        ExpectSegmentEndFault(SegmentWalkProgram(end, width, store_first),
+                              store_first ? "store outside memory"
+                                          : "load outside memory");
+      }
+    }
+  }
+}
+
+TEST(BlockEngine, HotJumpTableLoadFaultsAtTheDataEndBitIdentical) {
+  // The fused lw+jr and lw+jalr terminators: a table filled up to the end
+  // of the data segment with the loop's own address (jr) or a leaf
+  // function's (jalr), read one word further every trip until the load
+  // falls off the end.
+  for (const bool call : {false, true}) {
+    std::ostringstream s;
+    s << "main:\n";
+    s << "  li $t0, " << kDataEnd - kWalkTrips * 4 << "\n";
+    s << "  la $t1, " << (call ? "leaf" : "loop") << "\n";
+    s << "  li $t2, " << kWalkTrips << "\n";
+    s << "fill:\n";
+    s << "  sw $t1, 0($t0)\n";
+    s << "  addiu $t0, $t0, 4\n";
+    s << "  addiu $t2, $t2, -1\n";
+    s << "  bgtz $t2, fill\n";
+    s << "  li $t0, " << kDataEnd - kWalkTrips * 4 << "\n";
+    s << "loop:\n";
+    s << "  addiu $t0, $t0, 4\n";
+    s << "  lw $t1, -4($t0)\n";
+    if (call) {
+      s << "  jalr $t1\n";
+      s << "  j loop\n";
+      s << "leaf:\n";
+      s << "  jr $ra\n";
+    } else {
+      s << "  jr $t1\n";
+    }
+    ExpectSegmentEndFault(s.str(), "load outside memory");
   }
 }
 

@@ -9,6 +9,7 @@
 #include "ir/loops.hpp"
 #include "ir/printer.hpp"
 #include "ir/verifier.hpp"
+#include "support/guest_memory.hpp"
 
 namespace b2h::ir {
 namespace {
@@ -352,18 +353,18 @@ TEST(Interp, AccessesPastTheTopOfTheAddressSpaceFaultCleanly) {
 }
 
 TEST(Interp, SegmentEdgesAreEndExclusive) {
-  const InterpOptions options;
-  const std::uint32_t data_end = options.data_base + options.data_size;
-  const std::uint32_t stack_base = options.stack_top - options.stack_size;
+  using support::GuestMemory;
+  const std::uint32_t data_end =
+      GuestMemory::kDataBase + GuestMemory::kDataSize;
   struct Probe {
     std::uint32_t address;
     bool ok;
   };
   for (const Probe probe : {Probe{data_end - 4, true}, Probe{data_end, false},
-                            Probe{options.data_base - 4, false},
-                            Probe{stack_base, true},
-                            Probe{options.stack_top - 4, true},
-                            Probe{options.stack_top, false}}) {
+                            Probe{GuestMemory::kDataBase - 4, false},
+                            Probe{GuestMemory::kStackBase, true},
+                            Probe{GuestMemory::kStackTop - 4, true},
+                            Probe{GuestMemory::kStackTop, false}}) {
     AccessFunction access(probe.address, /*store=*/false);
     Module module;
     module.main = &access.function;

@@ -12,6 +12,7 @@
 #include "mips/simulator.hpp"
 #include "suite/runner.hpp"
 #include "suite/suite.hpp"
+#include "support/guest_memory.hpp"
 #include "synth/synth.hpp"
 
 namespace b2h::synth {
@@ -50,7 +51,8 @@ TEST_P(RtlCosim, WholeMainMatchesSoftware) {
   RtlSimulator rtl(region, synthesized.value().schedule,
                    binary.value().data);
   std::map<unsigned, std::int32_t> inputs;
-  inputs[29] = static_cast<std::int32_t>(mips::kStackTop - 64);  // sp
+  inputs[29] =  // sp
+      static_cast<std::int32_t>(support::GuestMemory::kInitialSp);
   const auto result = rtl.Run({}, inputs);
   ASSERT_TRUE(result.ok) << result.error;
   EXPECT_EQ(result.return_value, bench->reference())
@@ -87,7 +89,7 @@ TEST(RtlSim, SequentialFsmIsSlowerThanSoftwareClaims) {
   RtlSimulator rtl(region, synthesized.value().schedule,
                    binary.value().data);
   std::map<unsigned, std::int32_t> inputs;
-  inputs[29] = static_cast<std::int32_t>(mips::kStackTop - 64);
+  inputs[29] = static_cast<std::int32_t>(support::GuestMemory::kInitialSp);
   const auto result = rtl.Run({}, inputs);
   ASSERT_TRUE(result.ok) << result.error;
   // Chaining compresses the bit-reversal tree: far fewer cycles than the
@@ -156,8 +158,8 @@ TEST(RtlSim, AccessesPastTheTopOfTheAddressSpaceFaultCleanly) {
           << result.error;
     }
   }
-  const RtlOptions options;
-  const std::uint32_t data_end = options.data_base + options.data_size;
+  const std::uint32_t data_end =
+      support::GuestMemory::kDataBase + support::GuestMemory::kDataSize;
   EXPECT_TRUE(RunAccess(data_end - 4, /*store=*/false).ok);
   EXPECT_FALSE(RunAccess(data_end, /*store=*/false).ok);
 

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "mips/assembler.hpp"
+#include "support/guest_memory.hpp"
 
 namespace b2h::mips {
 namespace {
@@ -179,7 +180,7 @@ TEST(Simulator, SegmentBoundariesStayEndExclusive) {
   // The wrap-safe checks must not shrink the valid range: the last aligned
   // word of the data segment is accessible, one byte past it is not.
   const std::uint32_t last_word =
-      kDataBase + Simulator::kDataSegmentSize - 4;
+      kDataBase + support::GuestMemory::kDataSize - 4;
   {
     std::ostringstream src;
     src << "main:\n li $t0, " << last_word << "\n lw $v0, 0($t0)\n jr $ra\n";
