@@ -10,16 +10,17 @@
 // decompilation alone, partitioning+synthesis alone, and the full flow.
 // For dynamic (on-chip) use the whole flow must be milliseconds-scale.
 // Binaries are held as shared_ptr so the timed loops measure the stages
-// themselves, not the compat shim's defensive binary copy.
+// themselves, not a defensive binary copy.
 #include <benchmark/benchmark.h>
 
 #include <memory>
 
-#include "decomp/pipeline.hpp"
+#include "decomp/pass_manager.hpp"
 #include "mips/simulator.hpp"
-#include "partition/flow.hpp"
+#include "partition/strategy.hpp"
 #include "suite/runner.hpp"
 #include "suite/suite.hpp"
+#include "toolchain/toolchain.hpp"
 
 using namespace b2h;
 
@@ -43,10 +44,9 @@ Prepared Prepare(const char* name) {
 
 void BM_Decompile(benchmark::State& state, const char* name) {
   const Prepared prepared = Prepare(name);
-  decomp::DecompileOptions options;
-  options.profile = &prepared.run.profile;
+  const auto pipeline = decomp::PassManager::Preset("default").value();
   for (auto _ : state) {
-    auto program = decomp::Decompile(prepared.binary, options);
+    auto program = pipeline.Run(prepared.binary, &prepared.run.profile);
     benchmark::DoNotOptimize(program);
   }
   state.SetLabel(std::to_string(prepared.binary->text.size()) + " instrs");
@@ -54,25 +54,27 @@ void BM_Decompile(benchmark::State& state, const char* name) {
 
 void BM_PartitionAndSynthesize(benchmark::State& state, const char* name) {
   const Prepared prepared = Prepare(name);
-  decomp::DecompileOptions options;
-  options.profile = &prepared.run.profile;
-  auto program = decomp::Decompile(prepared.binary, options);
+  auto program = decomp::PassManager::Preset("default").value().Run(
+      prepared.binary, &prepared.run.profile);
   if (!program.ok()) {
     state.SkipWithError("decompilation failed");
     return;
   }
   const partition::Platform platform;
+  const auto greedy = partition::MakePaperGreedyStrategy();
   for (auto _ : state) {
-    auto result = partition::PartitionProgram(
-        program.value(), prepared.run.profile, platform, {});
+    auto result = greedy->Partition(program.value(), prepared.run.profile,
+                                    platform, {}, {});
     benchmark::DoNotOptimize(result);
   }
 }
 
 void BM_FullFlow(benchmark::State& state, const char* name) {
   const Prepared prepared = Prepare(name);
+  Toolchain toolchain;
+  toolchain.WithPlatform(partition::Platform{});
   for (auto _ : state) {
-    auto flow = partition::RunFlow(prepared.binary, {});
+    auto flow = toolchain.Run(prepared.binary);
     benchmark::DoNotOptimize(flow);
   }
 }

@@ -1,20 +1,24 @@
-// End-to-end decompilation pipeline: binary -> optimized, annotated CDFG.
+// What the decompilation pipeline produces: binary -> optimized, annotated
+// CDFG.  PassManager (pass_manager.hpp) builds and runs the pipeline; this
+// header holds its output types.
 //
-// Pass order (rationale):
+// Default pass order (rationale):
 //   1. Lift                 — CFG recovery + SSA construction
 //   2. RerollLoops          — needs textually isomorphic sections, so it
 //                             runs before any folding
 //   3. SimplifyConstants    — IS-overhead removal (move idioms, folding)
 //   4. RemoveStackOperations
-//   5. SimplifyConstants    — cleanup enabled by promotion
-//   6. InlineSmallFunctions — keeps helper-calling loops synthesizable
+//   5. InlineSmallFunctions — keeps helper-calling loops synthesizable
+//   6. ConvertIfs           — small branch diamonds become selects
+//      (4-6 are each followed by a SimplifyConstants cleanup)
 //   7. PromoteStrength      — shift/add chains -> mul (undo compiler opt)
 //   8. ReduceStrength       — mul/div by 2^k -> shift/mask (for synthesis)
 //   9. ReduceOperatorSizes  — width annotations for the area/delay model
 //  10. final DCE + IR verification
 //
-// Every pass can be disabled individually (the ablation benchmark measures
-// each one's contribution to synthesis quality).
+// Every pass can be disabled individually with a "default,-<pass>" spec
+// (the ablation benchmark measures each one's contribution to synthesis
+// quality).
 #pragma once
 
 #include <map>
@@ -31,19 +35,6 @@
 #include "support/error.hpp"
 
 namespace b2h::decomp {
-
-struct DecompileOptions {
-  const mips::ExecProfile* profile = nullptr;
-  bool reroll_loops = true;
-  bool simplify_constants = true;
-  bool remove_stack_ops = true;
-  bool inline_small_functions = true;
-  bool convert_ifs = true;
-  bool promote_strength = true;
-  bool reduce_strength = true;
-  bool reduce_operator_sizes = true;
-  bool verify = true;  ///< run the IR verifier after the pipeline
-};
 
 /// Aggregated pass statistics for reporting and the ablation benches.
 struct DecompileStats {
@@ -90,20 +81,5 @@ struct DecompiledProgram {
     return RecoverStructure(f);
   }
 };
-
-/// Run the full decompilation pipeline.  Fails (kIndirectJump /
-/// kMalformedBinary) exactly when CDFG recovery is impossible.
-///
-/// Compatibility shim over the PassManager (pass_manager.hpp): the boolean
-/// options select the same pipeline the old hardwired code ran.  The
-/// returned program shares ownership of `binary`.
-[[nodiscard]] Result<DecompiledProgram> Decompile(
-    std::shared_ptr<const mips::SoftBinary> binary,
-    const DecompileOptions& options = {});
-
-/// Reference overload: copies `binary` into shared ownership (the old
-/// non-owning capture is gone — see DecompiledProgram::binary).
-[[nodiscard]] Result<DecompiledProgram> Decompile(
-    const mips::SoftBinary& binary, const DecompileOptions& options = {});
 
 }  // namespace b2h::decomp

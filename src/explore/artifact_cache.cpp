@@ -363,6 +363,54 @@ std::string HashPartitionOptions(const partition::PartitionOptions& options) {
   return hasher.Hex();
 }
 
+// ------------------------------------------------------- artifact producers
+
+DecompileArtifact ProfileAndDecompile(
+    const std::shared_ptr<const mips::SoftBinary>& binary,
+    const mips::CycleModel& model, std::uint64_t max_instructions,
+    const decomp::PassManager& pipeline, DecompileWork& work) {
+  // Construction and teardown get spans of their own: setting up and
+  // releasing the guest memory segments can cost more than the profiling
+  // run itself.
+  std::optional<mips::Simulator> simulator;
+  {
+    obs::ScopedSpan construct_span("sim.construct", "sim");
+    simulator.emplace(*binary, model);
+  }
+  auto run = std::make_shared<mips::RunResult>(
+      simulator->Run({}, max_instructions));
+  {
+    obs::ScopedSpan teardown_span("sim.teardown", "sim");
+    simulator.reset();
+  }
+  work.simulations.fetch_add(1);
+  if (run->reason != mips::HaltReason::kReturned) {
+    DecompileArtifact failed;
+    failed.status =
+        Status::Error(ErrorKind::kMalformedBinary,
+                      "software run did not complete: " + run->fault_message);
+    return failed;
+  }
+  return DecompileProfiled(binary, std::move(run), pipeline, work);
+}
+
+DecompileArtifact DecompileProfiled(
+    const std::shared_ptr<const mips::SoftBinary>& binary,
+    std::shared_ptr<const mips::RunResult> run,
+    const decomp::PassManager& pipeline, DecompileWork& work) {
+  DecompileArtifact artifact;
+  auto program = pipeline.Run(binary, &run->profile);
+  work.decompilations.fetch_add(1);
+  if (!program.ok()) {
+    artifact.status = program.status();
+    return artifact;
+  }
+  artifact.software_run = std::move(run);
+  artifact.program = std::make_shared<const decomp::DecompiledProgram>(
+      std::move(program).take());
+  return artifact;
+}
+
 // ------------------------------------------------ artifact (de)serialization
 
 std::string EncodeDecompileArtifact(const DecompileArtifact& artifact) {

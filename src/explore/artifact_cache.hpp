@@ -41,6 +41,7 @@
 // Explorer splits out in StatsReport().
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <future>
 #include <memory>
@@ -50,7 +51,7 @@
 #include <string_view>
 #include <unordered_map>
 
-#include "decomp/pipeline.hpp"
+#include "decomp/pass_manager.hpp"
 #include "explore/disk_store.hpp"
 #include "mips/binary.hpp"
 #include "mips/simulator.hpp"
@@ -94,6 +95,31 @@ struct DecompileArtifact {
   std::shared_ptr<const mips::RunResult> software_run;
   std::shared_ptr<const decomp::DecompiledProgram> program;
 };
+
+/// Work counters shared by the parallel jobs of one sweep or batch:
+/// `simulations` counts profiling runs that returned control (halted or
+/// not), `decompilations` counts pipeline runs (ok or not).
+struct DecompileWork {
+  std::atomic<std::size_t> simulations{0};
+  std::atomic<std::size_t> decompilations{0};
+};
+
+/// The one producer of fresh decompile artifacts: profile `binary` under
+/// `model` for at most `max_instructions`, release the simulator, and run
+/// `pipeline` over the profiled binary.  A run that does not return fails
+/// with kMalformedBinary.  A failed artifact keeps null payload pointers.
+/// Exceptions propagate to the caller.
+[[nodiscard]] DecompileArtifact ProfileAndDecompile(
+    const std::shared_ptr<const mips::SoftBinary>& binary,
+    const mips::CycleModel& model, std::uint64_t max_instructions,
+    const decomp::PassManager& pipeline, DecompileWork& work);
+
+/// The pipeline tail of ProfileAndDecompile, for a profile that already
+/// exists (a disk-hydrated summary being rebuilt into a program).
+[[nodiscard]] DecompileArtifact DecompileProfiled(
+    const std::shared_ptr<const mips::SoftBinary>& binary,
+    std::shared_ptr<const mips::RunResult> run,
+    const decomp::PassManager& pipeline, DecompileWork& work);
 
 /// Partition + estimate for one (decompile key, platform, strategy,
 /// objective) key.  `program` keeps the IR the partition points into

@@ -363,25 +363,7 @@ ExploreResult Explorer::Run(const ExploreSpec& spec) const {
   std::vector<std::shared_ptr<const DecompileArtifact>> decomp_slots(
       decomp_jobs.size());
   std::vector<double> decomp_job_ms(decomp_jobs.size(), 0.0);
-  std::atomic<std::size_t> simulations{0};
-  std::atomic<std::size_t> decompilations{0};
-  // Shared decompile tail of Stage A (fresh simulation) and Stage A'
-  // (profile served from the disk cache): run the pass pipeline over the
-  // profiled binary and finish the artifact.
-  const auto decompile_into =
-      [&](DecompileArtifact& artifact,
-          const std::shared_ptr<const mips::SoftBinary>& binary,
-          std::shared_ptr<const mips::RunResult> run) {
-        auto program = pipeline.Run(binary, &run->profile);
-        decompilations.fetch_add(1);
-        if (!program.ok()) {
-          artifact.status = program.status();
-          return;
-        }
-        artifact.software_run = std::move(run);
-        artifact.program = std::make_shared<const decomp::DecompiledProgram>(
-            std::move(program).take());
-      };
+  DecompileWork work;
   std::atomic<std::uint64_t> decomp_progress{0};
   report_progress("decompile", 0, decomp_jobs.size());
   support::ParallelFor(
@@ -413,29 +395,10 @@ ExploreResult Explorer::Run(const ExploreSpec& spec) const {
         }
         auto artifact = std::make_shared<DecompileArtifact>();
         try {
-          const auto& binary = spec.binaries[job.binary].binary;
-          // Construction and teardown get spans of their own: setting up
-          // and releasing the guest memory segments can cost more than the
-          // profiling run itself.
-          std::optional<mips::Simulator> simulator;
-          {
-            obs::ScopedSpan construct_span("sim.construct", "sim");
-            simulator.emplace(*binary, job.model);
-          }
-          auto run = std::make_shared<mips::RunResult>(
-              simulator->Run({}, config_.max_sim_instructions));
-          {
-            obs::ScopedSpan teardown_span("sim.teardown", "sim");
-            simulator.reset();
-          }
-          simulations.fetch_add(1);
-          if (run->reason != mips::HaltReason::kReturned) {
-            artifact->status = Status::Error(
-                ErrorKind::kMalformedBinary,
-                "software run did not complete: " + run->fault_message);
-          } else {
-            decompile_into(*artifact, binary, std::move(run));
-          }
+          *artifact = ProfileAndDecompile(spec.binaries[job.binary].binary,
+                                          job.model,
+                                          config_.max_sim_instructions,
+                                          pipeline, work);
         } catch (const std::exception& e) {
           artifact->status = Status::Error(
               ErrorKind::kUnsupported,
@@ -560,8 +523,8 @@ ExploreResult Explorer::Run(const ExploreSpec& spec) const {
         rehydrate_slots[index] = artifact;
         try {
           const auto& summary = decomp_done.at(job.key);
-          decompile_into(*artifact, spec.binaries[job.binary].binary,
-                         summary->software_run);
+          *artifact = DecompileProfiled(spec.binaries[job.binary].binary,
+                                        summary->software_run, pipeline, work);
           // Counted after the decompile so rehydrations can never exceed
           // decompilations_run (the documented "of decompilations_run"
           // relationship), even on an exception path.
@@ -746,8 +709,8 @@ ExploreResult Explorer::Run(const ExploreSpec& spec) const {
     }
   }
 
-  out.simulations_run = simulations.load();
-  out.decompilations_run = decompilations.load();
+  out.simulations_run = work.simulations.load();
+  out.decompilations_run = work.decompilations.load();
   out.partitions_run = partitions.load();
   out.decompile_rehydrations = rehydrations.load();
   out.cache_hits = cache_hits;

@@ -1,9 +1,9 @@
 // Candidate enumeration and selection machinery shared by every
 // partitioning strategy.
 //
-// Historically this lived inline in PartitionProgram.  The exploration
-// engine needs the same candidate scan (loops + analyses + profile
-// weights), the same selection bookkeeping (overlap subsumption, area
+// Historically this lived inline in the paper's partitioner.  The
+// exploration engine needs the same candidate scan (loops + analyses +
+// profile weights), the same selection bookkeeping (overlap subsumption, area
 // accounting, rejection reasons), and the same array-residency rules for
 // *multiple* selection policies, so the machinery is factored out here:
 //

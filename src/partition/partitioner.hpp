@@ -62,15 +62,6 @@ struct PartitionResult {
   double loop_coverage = 0.0;  ///< fraction of cycles in candidate loops
 };
 
-/// Run the paper's three-step partitioner over a decompiled program with
-/// its profile.  Equivalent to the "paper-greedy" entry of the
-/// partition::StrategyRegistry (strategy.hpp), which also offers optimal
-/// and randomized selection policies behind the same PartitionResult.
-[[nodiscard]] Result<PartitionResult> PartitionProgram(
-    const decomp::DecompiledProgram& program,
-    const mips::ExecProfile& profile, const Platform& platform,
-    const PartitionOptions& options = {});
-
 /// Fold a partition into the application-level performance/energy numbers.
 [[nodiscard]] AppEstimate EstimatePartition(const PartitionResult& partition,
                                             const Platform& platform);

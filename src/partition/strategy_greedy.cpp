@@ -1,10 +1,10 @@
 // The paper's three-step heuristic as a pluggable Strategy.
 //
-// This is a faithful transplant of the original PartitionProgram body onto
-// the shared CandidateSet/SelectionState machinery: same candidate order,
-// same attempt order, same rejection wording — PartitionProgram (which now
-// delegates here) remains bit-identical to the pre-strategy implementation,
-// and the tests assert parity between the two entry points.
+// This is a faithful transplant of the original single-function partitioner
+// onto the shared CandidateSet/SelectionState machinery: same candidate
+// order, same attempt order, same rejection wording.  Toolchain::Run calls
+// it with a fresh scan, the exploration engine with a pooled CandidateSet,
+// and the tests assert the two give bit-identical results.
 #include <set>
 #include <utility>
 

@@ -28,8 +28,14 @@ void ComputeLiveSets(HwRegion& region) {
       }
     }
   }
-  region.live_ins.assign(live_in.begin(), live_in.end());
-  region.live_outs.assign(live_out.begin(), live_out.end());
+  // Ports in definition order: a pointer-ordered set would make the VHDL
+  // port list depend on heap addresses.
+  for (const auto& block : region.function->blocks()) {
+    for (const ir::Instr* instr : block->instrs) {
+      if (live_in.count(instr) != 0) region.live_ins.push_back(instr);
+      if (live_out.count(instr) != 0) region.live_outs.push_back(instr);
+    }
+  }
 }
 
 void CheckSynthesizable(HwRegion& region) {

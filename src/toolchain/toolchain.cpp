@@ -1,11 +1,10 @@
 #include "toolchain/toolchain.hpp"
 
-#include <atomic>
+#include <iomanip>
 #include <sstream>
 
-#include "mips/simulator.hpp"
 #include "obs/obs.hpp"
-#include "partition/partitioner.hpp"
+#include "partition/strategy.hpp"
 #include "support/parallel_for.hpp"
 
 namespace b2h {
@@ -24,11 +23,59 @@ bool SameCycleModel(const mips::CycleModel& a, const mips::CycleModel& b) {
 
 // ---------------------------------------------------------- ToolchainRun
 
+std::string ToolchainRun::ReportBody() const {
+  std::ostringstream out;
+  out << std::fixed;
+  out << "software: " << software_run->instructions << " instrs, "
+      << software_run->cycles << " cycles, rv=" << software_run->return_value
+      << "\n";
+  const auto& stats = program->stats;
+  out << "decompile: " << stats.lifted_instrs << " -> " << stats.final_instrs
+      << " ops (stack ops removed " << stats.stack_ops_removed
+      << ", loops rerolled " << stats.loops_rerolled << ", muls recovered "
+      << stats.muls_recovered << ", narrowed " << stats.instrs_narrowed
+      << ")\n";
+  out << "partition: " << partition.hw.size() << " hw region(s), area "
+      << std::setprecision(0) << partition.area_used_gates << " / "
+      << partition.area_budget_gates << " gates, loop coverage "
+      << std::setprecision(1) << partition.loop_coverage * 100.0 << "%\n";
+  for (const auto& selected : partition.hw) {
+    using partition::SelectedBy;
+    const char* reason = selected.selected_by == SelectedBy::kFrequency
+                             ? "freq"
+                         : selected.selected_by == SelectedBy::kAlias ? "alias"
+                         : selected.selected_by == SelectedBy::kGreedy
+                             ? "greedy"
+                         : selected.selected_by == SelectedBy::kOptimal
+                             ? "optimal"
+                             : "annealed";
+    out << "  [" << reason << "] " << selected.synthesized.region.name
+        << ": sw " << selected.sw_cycles << " cyc -> hw "
+        << selected.synthesized.hw_cycles << " cyc @ "
+        << std::setprecision(0) << selected.synthesized.clock_mhz << " MHz, "
+        << selected.synthesized.area.total_gates << " gates";
+    if (selected.synthesized.schedule.pipeline_ii > 0) {
+      out << ", II=" << selected.synthesized.schedule.pipeline_ii;
+    }
+    if (selected.arrays_resident) out << ", arrays resident";
+    out << "\n";
+  }
+  // Why regions were skipped.
+  for (const std::string& reason :
+       partition::UniqueRejections(partition.rejected)) {
+    out << "  rejected " << reason << "\n";
+  }
+  out << std::setprecision(2);
+  out << "estimate: speedup " << estimate.speedup << "x, kernel speedup "
+      << estimate.avg_kernel_speedup << "x, energy savings "
+      << std::setprecision(1) << estimate.energy_savings * 100.0 << "%\n";
+  return out.str();
+}
+
 std::string ToolchainRun::Report() const {
   std::ostringstream out;
   out << "=== " << binary_name << " on " << platform_name << " ===\n";
-  out << partition::FlowReportBody(*software_run, *program, partition,
-                                   estimate);
+  out << ReportBody();
   if (!program->pass_runs.empty()) {
     out << "passes:";
     for (const auto& run : program->pass_runs) {
@@ -182,9 +229,9 @@ Result<ToolchainRun> Toolchain::PartitionPrepared(
   run.program = std::move(program);
   obs::ScopedSpan span("toolchain.partition", "partition");
   span.Arg("binary", run.binary_name).Arg("platform", run.platform_name);
-  auto partitioned =
-      partition::PartitionProgram(*run.program, run.software_run->profile,
-                                  platform, partition_options_);
+  auto partitioned = partition::MakePaperGreedyStrategy()->Partition(
+      *run.program, run.software_run->profile, platform, partition_options_,
+      partition::StrategyOptions{});
   if (!partitioned.ok()) return partitioned.status();
   run.partition = std::move(partitioned).take();
   run.estimate = partition::EstimatePartition(run.partition, platform);
@@ -195,31 +242,16 @@ Result<ToolchainRun> Toolchain::RunOnPlatform(
     std::shared_ptr<const mips::SoftBinary> binary, std::string binary_name,
     const partition::Platform& platform, std::string platform_name) const {
   Check(binary != nullptr, "Toolchain: null binary");
-
-  // 1. Profile.
-  mips::Simulator simulator(*binary, platform.cpu.cycle_model);
-  auto software_run = std::make_shared<mips::RunResult>(
-      simulator.Run({}, max_sim_instructions_));
-  if (software_run->reason != mips::HaltReason::kReturned) {
-    return Status::Error(
-        ErrorKind::kMalformedBinary,
-        "software run did not complete: " + software_run->fault_message);
-  }
-
-  // 2. Decompile through the configured pipeline.
   auto manager = decomp::PassManager::FromSpec(pipeline_spec_);
   if (!manager.ok()) return manager.status();
-  auto program = manager.value().SetVerify(verify_ir_).Run(
-      binary, &software_run->profile);
-  if (!program.ok()) return program.status();
-
-  // 3+4. Partition + estimate.
-  return PartitionPrepared(
-      std::move(binary_name), std::move(platform_name), std::move(binary),
-      std::move(software_run),
-      std::make_shared<const decomp::DecompiledProgram>(
-          std::move(program).take()),
-      platform);
+  explore::DecompileWork work;
+  explore::DecompileArtifact prepared = explore::ProfileAndDecompile(
+      binary, platform.cpu.cycle_model, max_sim_instructions_,
+      std::move(manager).take().SetVerify(verify_ir_), work);
+  if (!prepared.status.ok()) return prepared.status;
+  return PartitionPrepared(std::move(binary_name), std::move(platform_name),
+                           std::move(binary), std::move(prepared.software_run),
+                           std::move(prepared.program), platform);
 }
 
 Result<ToolchainRun> Toolchain::Run(
@@ -343,18 +375,13 @@ BatchResult Toolchain::RunMany(
     if (group == model_groups.size()) model_groups.push_back(model);
     platform_group[p] = group;
   }
-  if (model_groups.empty()) model_groups.push_back(mips::CycleModel{});
+  // No resolved platform means no group and so no Stage A job: every slot
+  // reports its unknown platform without profiling anything.
   const std::size_t num_groups = model_groups.size();
 
-  struct Prepared {
-    Status status;
-    std::shared_ptr<const mips::RunResult> software_run;
-    std::shared_ptr<const decomp::DecompiledProgram> program;
-  };
   // prepared[b * num_groups + g]: binary b profiled under model group g.
-  std::vector<Prepared> prepared(num_binaries * num_groups);
-  std::atomic<std::size_t> simulations{0};
-  std::atomic<std::size_t> decompilations{0};
+  std::vector<explore::DecompileArtifact> prepared(num_binaries * num_groups);
+  explore::DecompileWork work;
 
   auto manager = decomp::PassManager::FromSpec(pipeline_spec_);
   if (!manager.ok()) {
@@ -369,32 +396,16 @@ BatchResult Toolchain::RunMany(
   ParallelFor(num_binaries * num_groups, threads_, [&](std::size_t index) {
     const std::size_t b = index / num_groups;
     const std::size_t g = index % num_groups;
-    Prepared& slot = prepared[index];
+    explore::DecompileArtifact& slot = prepared[index];
     try {
       if (binaries[b].binary == nullptr) {
         slot.status = Status::Error(ErrorKind::kMalformedBinary,
                                     "null binary: " + binaries[b].name);
         return;
       }
-      mips::Simulator simulator(*binaries[b].binary, model_groups[g]);
-      auto run = std::make_shared<mips::RunResult>(
-          simulator.Run({}, max_sim_instructions_));
-      simulations.fetch_add(1);
-      if (run->reason != mips::HaltReason::kReturned) {
-        slot.status = Status::Error(
-            ErrorKind::kMalformedBinary,
-            "software run did not complete: " + run->fault_message);
-        return;
-      }
-      auto program = pipeline.Run(binaries[b].binary, &run->profile);
-      decompilations.fetch_add(1);
-      if (!program.ok()) {
-        slot.status = program.status();
-        return;
-      }
-      slot.software_run = std::move(run);
-      slot.program = std::make_shared<const decomp::DecompiledProgram>(
-          std::move(program).take());
+      slot = explore::ProfileAndDecompile(binaries[b].binary, model_groups[g],
+                                          max_sim_instructions_, pipeline,
+                                          work);
     } catch (const std::exception& e) {
       slot.status = Status::Error(ErrorKind::kUnsupported,
                                   std::string("internal error: ") + e.what());
@@ -413,7 +424,8 @@ BatchResult Toolchain::RunMany(
                                      "unknown platform: " + platform_names[p]);
         return;
       }
-      const Prepared& base = prepared[b * num_groups + platform_group[p]];
+      const explore::DecompileArtifact& base =
+          prepared[b * num_groups + platform_group[p]];
       if (!base.status.ok()) {
         slots[index] = base.status;
         return;
@@ -449,8 +461,8 @@ BatchResult Toolchain::RunMany(
     Check(slots[index].has_value(), "RunMany: missing result slot");
     batch.runs.push_back(std::move(*slots[index]));
   }
-  batch.simulations_run = simulations.load();
-  batch.decompilations_run = decompilations.load();
+  batch.simulations_run = work.simulations.load();
+  batch.decompilations_run = work.decompilations.load();
   return batch;
 }
 

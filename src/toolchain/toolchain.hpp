@@ -1,9 +1,10 @@
-// b2h::Toolchain — the scalable front door to the whole flow.
+// b2h::Toolchain — the front door to the whole flow.
 //
 //   binary -> profile -> decompile (PassManager pipeline) -> partition ->
 //   synthesize -> estimate
 //
-// Three things the one-shot `partition::RunFlow` cannot do:
+// Profiling and decompiling go through explore::ProfileAndDecompile, the
+// same producer the exploration engine runs.  On top of it the facade adds:
 //
 //   * a named platform registry ("mips200-xc2v1000", "mips40", "mips400",
 //     plus custom registrations) so sweeps are spelled as name lists;
@@ -34,7 +35,6 @@
 #include "dynamic/dynamic_partitioner.hpp"
 #include "explore/explorer.hpp"
 #include "mips/shared_cache.hpp"
-#include "partition/flow.hpp"
 #include "partition/platform.hpp"
 #include "partition/platform_registry.hpp"
 
@@ -59,7 +59,11 @@ struct ToolchainRun {
   /// partitioning outcome for the same (binary, platform) pair.
   std::shared_ptr<const dynamic::DynamicRun> dynamic_run;
 
+  /// Title line, ReportBody(), then the per-pass timings.
   [[nodiscard]] std::string Report() const;
+  /// The timing-free part of the report: profile, decompile stats, the
+  /// selected regions with rejection reasons, and the estimate.
+  [[nodiscard]] std::string ReportBody() const;
   /// One JSON object (no trailing newline) with the headline estimate AND
   /// the partitioner's rejection reasons, so machine consumers can explain
   /// why a region was skipped.

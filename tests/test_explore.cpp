@@ -1,10 +1,10 @@
 // Exploration-engine tests: strategy registry completeness, paper-greedy
-// parity with the legacy PartitionProgram entry point (bit-identical
-// PartitionResult), knapsack-optimal dominance over the paper heuristic on
-// every decompilable benchmark, Pareto-frontier invariants, artifact-cache
-// determinism (a warm identical sweep performs zero decompilations and
-// reports identically), parallel == serial reports, and annealing
-// determinism under a fixed seed.
+// parity between Toolchain::Run and the pooled candidate set the explorer
+// uses (bit-identical PartitionResult), knapsack-optimal dominance over
+// the paper heuristic on every decompilable benchmark, Pareto-frontier
+// invariants, artifact-cache determinism (a warm identical sweep performs
+// zero decompilations and reports identically), parallel == serial
+// reports, and annealing determinism under a fixed seed.
 #include "explore/explorer.hpp"
 
 #include <gtest/gtest.h>
@@ -115,22 +115,26 @@ TEST(StrategyRegistry, PaperGreedyIsObjectiveInsensitive) {
   EXPECT_TRUE(partition::MakeAnnealingStrategy()->objective_sensitive());
 }
 
-// The "paper-greedy" strategy and the legacy PartitionProgram entry point
+// Toolchain::Run (paper-greedy over a fresh candidate scan) and the
+// "paper-greedy" strategy fed the pooled CandidateSet the explorer uses
 // must produce bit-identical PartitionResults (same selections, same
-// rejection log, same metrics) — the strategy extraction is a pure
-// refactor of the paper's algorithm.
-TEST(Strategy, PaperGreedyParityWithPartitionProgram) {
+// rejection log, same metrics): pooling changes where work happens, never
+// results.
+TEST(Strategy, PaperGreedyParityWithToolchainRun) {
+  partition::CandidateSetPool pool;
   for (const char* name : {"fir", "crc", "brev", "autcor00"}) {
-    auto flow = partition::RunFlow(BuildBench(name));
+    const partition::Platform platform;
+    auto flow = Toolchain().WithPlatform(platform).Run(BuildBench(name));
     ASSERT_TRUE(flow.ok()) << name;
     const auto& program = *flow.value().program;
-    const auto& profile = flow.value().software_run.profile;
-    const partition::Platform platform;
+    const auto& profile = flow.value().software_run->profile;
 
     const auto strategy =
         partition::StrategyRegistry::Global().Create("paper-greedy");
     ASSERT_NE(strategy, nullptr);
-    auto result = strategy->Partition(program, profile, platform, {}, {});
+    partition::StrategyOptions pooled;
+    pooled.candidates = pool.Obtain(name, flow.value().program, profile);
+    auto result = strategy->Partition(program, profile, platform, {}, pooled);
     ASSERT_TRUE(result.ok()) << name;
     ExpectIdenticalPartitions(result.value(), flow.value().partition);
   }
@@ -580,11 +584,11 @@ TEST(Explore, CacheDirEnvironmentOverride) {
 // program: its reported estimate equals the best EvaluateSubset score over
 // every feasible subset.
 TEST(Strategy, KnapsackMatchesExhaustiveSearchOnFir) {
-  auto flow = partition::RunFlow(BuildBench("fir"));
+  const partition::Platform platform;
+  auto flow = Toolchain().WithPlatform(platform).Run(BuildBench("fir"));
   ASSERT_TRUE(flow.ok());
   const auto& program = *flow.value().program;
-  const auto& profile = flow.value().software_run.profile;
-  const partition::Platform platform;
+  const auto& profile = flow.value().software_run->profile;
   const partition::PartitionOptions options;
 
   const auto set = partition::CandidateSet::Scan(program, profile);

@@ -1,19 +1,23 @@
 // Simulator halt paths end-to-end: binaries that exhaust the instruction
 // budget (HaltReason::kMaxInstructions) or fault (HaltReason::kFault) must
-// surface as clean Result errors from every flow entry point — RunFlow,
-// Toolchain::Run, Toolchain::RunMany, and RunDynamic — never as partial or
-// garbage estimates.
+// surface as clean Result errors from every flow entry point —
+// Toolchain::Run, Toolchain::RunMany, Toolchain::Explore, and RunDynamic —
+// never as partial or garbage estimates.
 #include <gtest/gtest.h>
 
 #include <memory>
 
 #include "mips/assembler.hpp"
 #include "mips/simulator.hpp"
-#include "partition/flow.hpp"
+#include "testing_support.hpp"
 #include "toolchain/toolchain.hpp"
 
 namespace b2h {
 namespace {
+
+// Toolchain's default constructor reads B2H_CACHE_DIR; pin it unset so the
+// Explore sweep below starts cold whatever the environment exports.
+const testing_support::ScopedEnv kPinnedCacheDirEnv("B2H_CACHE_DIR", nullptr);
 
 std::shared_ptr<const mips::SoftBinary> InfiniteLoopBinary() {
   auto assembled = mips::Assemble(R"(
@@ -67,36 +71,60 @@ TEST(HaltPaths, SimulatorReportsBudgetAndFault) {
   }
 }
 
-TEST(HaltPaths, RunFlowPropagatesBudgetExhaustion) {
-  partition::FlowOptions options;
-  options.max_sim_instructions = 5'000;
-  auto result = partition::RunFlow(InfiniteLoopBinary(), options);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().kind(), ErrorKind::kMalformedBinary);
-  EXPECT_NE(result.status().message().find("did not complete"),
-            std::string::npos)
-      << result.status().message();
-}
-
-TEST(HaltPaths, RunFlowPropagatesFault) {
-  auto result = partition::RunFlow(FaultingBinary());
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().kind(), ErrorKind::kMalformedBinary);
-  EXPECT_NE(result.status().message().find("fault"), std::string::npos)
-      << result.status().message();
-}
-
 TEST(HaltPaths, ToolchainRunPropagatesBothHaltReasons) {
   Toolchain budgeted;
   budgeted.WithMaxSimInstructions(5'000);
   auto exhausted = budgeted.Run(InfiniteLoopBinary(), "spin");
   ASSERT_FALSE(exhausted.ok());
   EXPECT_EQ(exhausted.status().kind(), ErrorKind::kMalformedBinary);
+  EXPECT_NE(exhausted.status().message().find("did not complete"),
+            std::string::npos)
+      << exhausted.status().message();
 
   Toolchain toolchain;
   auto faulted = toolchain.Run(FaultingBinary(), "faulty");
   ASSERT_FALSE(faulted.ok());
   EXPECT_EQ(faulted.status().kind(), ErrorKind::kMalformedBinary);
+  EXPECT_NE(faulted.status().message().find("fault"), std::string::npos)
+      << faulted.status().message();
+}
+
+// The daemon's entry point: every point of a sweep over the two bad
+// binaries fails with the error Toolchain::Run gives, and the failures are
+// cached, so a repeat sweep simulates nothing.
+TEST(HaltPaths, ExploreReportsHaltsPerPointAndCachesThem) {
+  Toolchain toolchain;
+  toolchain.WithMaxSimInstructions(5'000);
+  explore::ExploreSpec spec;
+  spec.binaries = {{"faulty", FaultingBinary()},
+                   {"spin", InfiniteLoopBinary()}};
+  spec.strategies = {"paper-greedy", "knapsack-optimal"};
+
+  const explore::ExploreResult cold = toolchain.Explore(spec);
+  ASSERT_EQ(cold.points.size(), 2u * spec.platforms.size() * 2u);
+  EXPECT_EQ(cold.simulations_run, 2u);
+  EXPECT_EQ(cold.decompilations_run, 0u);
+  for (const explore::ExplorePoint& point : cold.points) {
+    const auto& binary = point.binary_name == "faulty"
+                             ? spec.binaries[0].binary
+                             : spec.binaries[1].binary;
+    const auto single = toolchain.Run(binary, point.binary_name);
+    ASSERT_FALSE(single.ok());
+    ASSERT_FALSE(point.status.ok()) << point.binary_name;
+    EXPECT_EQ(point.status.kind(), ErrorKind::kMalformedBinary);
+    EXPECT_EQ(point.status.message(), single.status().message())
+        << point.binary_name << " on " << point.platform_name;
+  }
+
+  const explore::ExploreResult warm = toolchain.Explore(spec);
+  EXPECT_EQ(warm.simulations_run, 0u);
+  EXPECT_EQ(warm.decompilations_run, 0u);
+  ASSERT_EQ(warm.points.size(), cold.points.size());
+  for (std::size_t i = 0; i < warm.points.size(); ++i) {
+    EXPECT_EQ(warm.points[i].status.kind(), ErrorKind::kMalformedBinary);
+    EXPECT_EQ(warm.points[i].status.message(),
+              cold.points[i].status.message());
+  }
 }
 
 TEST(HaltPaths, RunManyIsolatesBadBinariesPerSlot) {

@@ -5,25 +5,36 @@
 
 #include <gtest/gtest.h>
 
-#include "partition/flow.hpp"
 #include "suite/runner.hpp"
 #include "suite/suite.hpp"
+#include "toolchain/toolchain.hpp"
 
 namespace b2h::partition {
 namespace {
 
-FlowResult RunBenchmark(const std::string& name, FlowOptions options = {}) {
+/// The paper's flow on one binary: Toolchain::Run on `platform`.
+Result<ToolchainRun> RunOn(const mips::SoftBinary& binary,
+                           Platform platform = {},
+                           PartitionOptions options = {}) {
+  return Toolchain()
+      .WithPlatform(std::move(platform))
+      .WithPartitionOptions(std::move(options))
+      .Run(std::make_shared<const mips::SoftBinary>(binary));
+}
+
+ToolchainRun RunBenchmark(const std::string& name, Platform platform = {},
+                          PartitionOptions options = {}) {
   const suite::Benchmark* bench = suite::FindBenchmark(name);
   EXPECT_NE(bench, nullptr);
   auto binary = suite::BuildBinary(*bench, 1);
   EXPECT_TRUE(binary.ok());
-  auto flow = RunFlow(binary.value(), options);
+  auto flow = RunOn(binary.value(), std::move(platform), std::move(options));
   EXPECT_TRUE(flow.ok()) << flow.status().message();
   return std::move(flow).take();
 }
 
 TEST(Partitioner, SelectsHotLoopsFirst) {
-  const FlowResult flow = RunBenchmark("fir");
+  const ToolchainRun flow = RunBenchmark("fir");
   ASSERT_FALSE(flow.partition.hw.empty());
   // The first (frequency-step) region must be the hottest one.
   const auto& first = flow.partition.hw.front();
@@ -39,10 +50,10 @@ TEST(Partitioner, SelectsHotLoopsFirst) {
 }
 
 TEST(Partitioner, RespectsAreaBudget) {
-  FlowOptions tiny;
-  tiny.platform.fpga.capacity_gates = 30'000;
-  tiny.platform.fpga.usable_fraction = 1.0;
-  const FlowResult flow = RunBenchmark("fir", tiny);
+  Platform tiny;
+  tiny.fpga.capacity_gates = 30'000;
+  tiny.fpga.usable_fraction = 1.0;
+  const ToolchainRun flow = RunBenchmark("fir", tiny);
   EXPECT_LE(flow.partition.area_used_gates, 30'000.0);
   // Something must have been rejected for area on this multi-loop program.
   bool area_rejection = false;
@@ -53,9 +64,9 @@ TEST(Partitioner, RespectsAreaBudget) {
 }
 
 TEST(Partitioner, ZeroBudgetSelectsNothing) {
-  FlowOptions none;
-  none.platform.fpga.capacity_gates = 0;
-  const FlowResult flow = RunBenchmark("fir", none);
+  Platform none;
+  none.fpga.capacity_gates = 0;
+  const ToolchainRun flow = RunBenchmark("fir", none);
   EXPECT_TRUE(flow.partition.hw.empty());
   EXPECT_NEAR(flow.estimate.speedup, 1.0, 1e-9);
   EXPECT_NEAR(flow.estimate.energy_savings, 0.0, 1e-9);
@@ -65,7 +76,7 @@ TEST(Partitioner, AliasStepMakesArraysResident) {
   // fir: samples/coeffs/output are shared between the init loops and the
   // kernel; once all loops touching them are in hardware the arrays become
   // FPGA-resident.
-  const FlowResult flow = RunBenchmark("fir");
+  const ToolchainRun flow = RunBenchmark("fir");
   bool any_resident = false;
   for (const auto& selected : flow.partition.hw) {
     if (selected.arrays_resident) any_resident = true;
@@ -74,11 +85,11 @@ TEST(Partitioner, AliasStepMakesArraysResident) {
 }
 
 TEST(Partitioner, StepsCanBeDisabled) {
-  FlowOptions no_steps;
-  no_steps.partition.enable_alias_step = false;
-  no_steps.partition.enable_greedy_step = false;
-  const FlowResult base = RunBenchmark("fir");
-  const FlowResult reduced = RunBenchmark("fir", no_steps);
+  PartitionOptions no_steps;
+  no_steps.enable_alias_step = false;
+  no_steps.enable_greedy_step = false;
+  const ToolchainRun base = RunBenchmark("fir");
+  const ToolchainRun reduced = RunBenchmark("fir", {}, no_steps);
   EXPECT_LE(reduced.partition.hw.size(), base.partition.hw.size());
   for (const auto& selected : reduced.partition.hw) {
     EXPECT_EQ(selected.selected_by, SelectedBy::kFrequency);
@@ -86,7 +97,7 @@ TEST(Partitioner, StepsCanBeDisabled) {
 }
 
 TEST(Estimator, SpeedupRequiresPositiveTimes) {
-  const FlowResult flow = RunBenchmark("brev");
+  const ToolchainRun flow = RunBenchmark("brev");
   const AppEstimate& est = flow.estimate;
   EXPECT_GT(est.sw_time, 0.0);
   EXPECT_GT(est.partitioned_time, 0.0);
@@ -121,9 +132,7 @@ TEST(Platforms, SlowerCpuMeansBiggerWins) {
   double savings[3];
   const double mhz[3] = {40.0, 200.0, 400.0};
   for (int i = 0; i < 3; ++i) {
-    FlowOptions options;
-    options.platform = Platform::WithCpuMhz(mhz[i]);
-    auto flow = RunFlow(binary.value(), options);
+    auto flow = RunOn(binary.value(), Platform::WithCpuMhz(mhz[i]));
     ASSERT_TRUE(flow.ok());
     speedups[i] = flow.value().estimate.speedup;
     savings[i] = flow.value().estimate.energy_savings;
@@ -148,7 +157,7 @@ TEST(Platforms, PowerModelScalesWithFrequency) {
 }
 
 TEST(Flow, ReportMentionsEverything) {
-  const FlowResult flow = RunBenchmark("fir");
+  const ToolchainRun flow = RunBenchmark("fir");
   const std::string report = flow.Report();
   EXPECT_NE(report.find("decompile:"), std::string::npos);
   EXPECT_NE(report.find("partition:"), std::string::npos);
@@ -162,7 +171,7 @@ TEST(Flow, IndirectJumpBinariesFailCleanly) {
   ASSERT_NE(bench, nullptr);
   auto binary = suite::BuildBinary(*bench, 1);
   ASSERT_TRUE(binary.ok());
-  auto flow = RunFlow(binary.value());
+  auto flow = RunOn(binary.value());
   ASSERT_FALSE(flow.ok());
   EXPECT_EQ(flow.status().kind(), ErrorKind::kIndirectJump);
 }
@@ -171,7 +180,7 @@ TEST(Flow, FaultingBinaryReported) {
   mips::SoftBinary bad;
   bad.text = {mips::Encode({.op = mips::Op::kLw, .rs = 0, .rt = 2,
                             .imm = 0})};  // load from address 0 faults
-  auto flow = RunFlow(bad);
+  auto flow = RunOn(bad);
   ASSERT_FALSE(flow.ok());
   EXPECT_EQ(flow.status().kind(), ErrorKind::kMalformedBinary);
 }

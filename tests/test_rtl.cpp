@@ -8,12 +8,12 @@
 
 #include <gtest/gtest.h>
 
-#include "decomp/pipeline.hpp"
 #include "mips/simulator.hpp"
 #include "suite/runner.hpp"
 #include "suite/suite.hpp"
 #include "support/guest_memory.hpp"
 #include "synth/synth.hpp"
+#include "testing_support.hpp"
 
 namespace b2h::synth {
 namespace {
@@ -31,9 +31,7 @@ TEST_P(RtlCosim, WholeMainMatchesSoftware) {
   ASSERT_EQ(run.reason, mips::HaltReason::kReturned);
   ASSERT_EQ(run.return_value, bench->reference());
 
-  decomp::DecompileOptions options;
-  options.profile = &run.profile;
-  auto program = decomp::Decompile(binary.value(), options);
+  auto program = testing_support::RunPipeline(binary.value(), &run.profile);
   ASSERT_TRUE(program.ok()) << program.status().message();
 
   // Whole-application synthesis (paper: "our methods are also applicable
@@ -77,9 +75,7 @@ TEST(RtlSim, SequentialFsmIsSlowerThanSoftwareClaims) {
   ASSERT_TRUE(binary.ok());
   mips::Simulator sim(binary.value());
   const auto run = sim.Run();
-  decomp::DecompileOptions options;
-  options.profile = &run.profile;
-  auto program = decomp::Decompile(binary.value(), options);
+  auto program = testing_support::RunPipeline(binary.value(), &run.profile);
   ASSERT_TRUE(program.ok());
   const HwRegion region =
       ExtractFunctionRegion(*program.value().module.main);
@@ -104,9 +100,7 @@ TEST(RtlSim, LiveOutValuesExposed) {
   ASSERT_TRUE(binary.ok());
   mips::Simulator sim(binary.value());
   const auto run = sim.Run();
-  decomp::DecompileOptions options;
-  options.profile = &run.profile;
-  auto program = decomp::Decompile(binary.value(), options);
+  auto program = testing_support::RunPipeline(binary.value(), &run.profile);
   ASSERT_TRUE(program.ok());
   const ir::Function* main_fn = program.value().module.main;
   const HwRegion region = ExtractFunctionRegion(*main_fn);

@@ -5,12 +5,15 @@
 
 #include <gtest/gtest.h>
 
-#include "decomp/pipeline.hpp"
+#include <map>
+#include <vector>
+
 #include "ir/dominators.hpp"
 #include "ir/loops.hpp"
 #include "mips/simulator.hpp"
 #include "suite/runner.hpp"
 #include "suite/suite.hpp"
+#include "testing_support.hpp"
 
 namespace b2h::synth {
 namespace {
@@ -69,9 +72,8 @@ Prepared Prepare(const std::string& name, int opt_level = 1) {
   prepared.binary = std::move(binary).take();
   mips::Simulator sim(prepared.binary);
   prepared.run = sim.Run();
-  decomp::DecompileOptions options;
-  options.profile = &prepared.run.profile;
-  auto program = decomp::Decompile(prepared.binary, options);
+  auto program =
+      testing_support::RunPipeline(prepared.binary, &prepared.run.profile);
   EXPECT_TRUE(program.ok()) << program.status().message();
   prepared.program = std::move(program).take();
   return prepared;
@@ -208,12 +210,10 @@ TEST(Area, ReportIsConsistent) {
 TEST(Area, NarrowDatapathIsSmaller) {
   // Same structure, one narrowed by size reduction: area must not grow.
   Prepared with_reduction = Prepare("crc");
-  decomp::DecompileOptions no_narrow;
-  no_narrow.reduce_operator_sizes = false;
   mips::Simulator sim(with_reduction.binary);
   auto run = sim.Run();
-  no_narrow.profile = &run.profile;
-  auto wide_program = decomp::Decompile(with_reduction.binary, no_narrow);
+  auto wide_program = testing_support::RunPipeline(
+      with_reduction.binary, &run.profile, "default,-reduce-operator-sizes");
   ASSERT_TRUE(wide_program.ok());
 
   const auto synth_of = [&](const decomp::DecompiledProgram& program)
@@ -260,12 +260,10 @@ TEST(Regions, CallMakesRegionUnsynthesizable) {
   // main calls the kernels: a whole-main region (with calls left after
   // inlining) must be rejected, not mis-synthesized.
   Prepared prepared = Prepare("fir");
-  decomp::DecompileOptions no_inline;
-  no_inline.inline_small_functions = false;
   mips::Simulator sim(prepared.binary);
   auto run = sim.Run();
-  no_inline.profile = &run.profile;
-  auto program = decomp::Decompile(prepared.binary, no_inline);
+  auto program = testing_support::RunPipeline(
+      prepared.binary, &run.profile, "default,-inline-small-functions");
   ASSERT_TRUE(program.ok());
   const HwRegion region =
       ExtractFunctionRegion(*program.value().module.main);
@@ -273,6 +271,37 @@ TEST(Regions, CallMakesRegionUnsynthesizable) {
   auto synthesized = Synthesize(region, nullptr);
   EXPECT_FALSE(synthesized.ok());
   EXPECT_EQ(synthesized.status().kind(), ErrorKind::kUnsupported);
+}
+
+// Region ports (live-ins, live-outs) come in definition order, so the VHDL
+// port list never depends on where the IR happened to be allocated.
+// checksum and g3fax are the benchmarks whose port order used to vary.
+TEST(Regions, LiveSetsFollowDefinitionOrder) {
+  for (const char* name : {"checksum", "g3fax", "fir"}) {
+    Prepared prepared = Prepare(name);
+    for (const auto& function : prepared.program.module.functions) {
+      std::map<const ir::Instr*, std::size_t> position;
+      for (const auto& block : function->blocks()) {
+        for (const ir::Instr* instr : block->instrs) {
+          position.emplace(instr, position.size());
+        }
+      }
+      const auto expect_ordered = [&](const std::vector<const ir::Instr*>& set,
+                                      const std::string& region) {
+        for (std::size_t i = 1; i < set.size(); ++i) {
+          EXPECT_LT(position.at(set[i - 1]), position.at(set[i]))
+              << name << " " << region;
+        }
+      };
+      const ir::DominatorTree dom(*function);
+      const ir::LoopForest forest(*function, dom);
+      for (const auto& loop : forest.loops()) {
+        const HwRegion region = ExtractLoopRegion(*function, *loop);
+        expect_ordered(region.live_ins, region.name);
+        expect_ordered(region.live_outs, region.name);
+      }
+    }
+  }
 }
 
 /// Property: for every working benchmark, every innermost loop the

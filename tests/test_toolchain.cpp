@@ -1,7 +1,7 @@
-// Toolchain facade tests: platform registry, builder configuration, the
-// RunFlow compatibility shim, and the RunMany batch API — in particular
-// that a platform sweep reuses ONE decompilation per binary and that
-// parallel and serial batches produce identical results.
+// Toolchain facade tests: platform registry, builder configuration, and
+// the RunMany batch API — in particular that a platform sweep reuses ONE
+// decompilation per binary and that parallel and serial batches produce
+// identical results.
 #include "toolchain/toolchain.hpp"
 
 #include <gtest/gtest.h>
@@ -52,11 +52,10 @@ TEST(PlatformRegistry, CustomRegistrationIsUsableByName) {
   EXPECT_LE(run.value().partition.area_budget_gates, 20'000.0);
 }
 
-TEST(Toolchain, RunMatchesRunFlowShim) {
+TEST(Toolchain, RunOnRegisteredDefaultMatchesCustomPlatform) {
   const auto binary = BuildBench("fir");
 
-  partition::FlowOptions flow_options;
-  auto flow = partition::RunFlow(binary, flow_options);
+  auto flow = Toolchain().WithPlatform(partition::Platform{}).Run(binary);
   ASSERT_TRUE(flow.ok());
 
   Toolchain toolchain;
@@ -69,13 +68,13 @@ TEST(Toolchain, RunMatchesRunFlowShim) {
   EXPECT_EQ(run.value().partition.hw.size(), flow.value().partition.hw.size());
 }
 
-TEST(Toolchain, FlowResultOutlivesCallerBinary) {
-  // Regression for the dangling-pointer hazard: the FlowResult (and the
+TEST(Toolchain, RunResultOutlivesCallerBinary) {
+  // Regression for the dangling-pointer hazard: the ToolchainRun (and the
   // program inside it) must stay valid after the caller's binary handle
   // and the surrounding scope are gone.
-  partition::FlowResult flow = [] {
+  ToolchainRun flow = [] {
     auto binary = BuildBench("brev");
-    auto result = partition::RunFlow(binary);
+    auto result = Toolchain().WithPlatform(partition::Platform{}).Run(binary);
     EXPECT_TRUE(result.ok());
     binary.reset();  // drop the caller's only handle
     return std::move(result).take();
@@ -172,11 +171,7 @@ TEST(Toolchain, RunManyGroupsByCycleModel) {
   auto single = toolchain.RunOn("test-slow-mem", binaries[0].binary, "fir");
   ASSERT_TRUE(single.ok());
   const auto& batched = batch.At(0, 1).value();
-  EXPECT_EQ(partition::FlowReportBody(*batched.software_run, *batched.program,
-                                      batched.partition, batched.estimate),
-            partition::FlowReportBody(
-                *single.value().software_run, *single.value().program,
-                single.value().partition, single.value().estimate));
+  EXPECT_EQ(batched.ReportBody(), single.value().ReportBody());
 }
 
 TEST(Toolchain, RunManyParallelEqualsSerial) {
@@ -202,11 +197,7 @@ TEST(Toolchain, RunManyParallelEqualsSerial) {
     // the timing-free body instead.
     const auto& ra = a.runs[i].value();
     const auto& rb = b.runs[i].value();
-    EXPECT_EQ(partition::FlowReportBody(*ra.software_run, *ra.program,
-                                        ra.partition, ra.estimate),
-              partition::FlowReportBody(*rb.software_run, *rb.program,
-                                        rb.partition, rb.estimate))
-        << i;
+    EXPECT_EQ(ra.ReportBody(), rb.ReportBody()) << i;
   }
 }
 
@@ -221,6 +212,17 @@ TEST(Toolchain, RunManyReportsPerSlotFailures) {
   EXPECT_FALSE(batch.At(0, 1).ok());  // unknown platform
   EXPECT_FALSE(batch.At(1, 0).ok());  // null binary
   EXPECT_FALSE(batch.At(1, 1).ok());
+
+  // No resolvable platform: every slot fails, and nothing is profiled or
+  // decompiled for the platforms no slot can use.
+  const BatchResult unresolved = toolchain.RunMany(binaries, {"bogus"});
+  ASSERT_EQ(unresolved.runs.size(), 2u);
+  for (const auto& run : unresolved.runs) {
+    ASSERT_FALSE(run.ok());
+    EXPECT_EQ(run.status().kind(), ErrorKind::kUnsupported);
+  }
+  EXPECT_EQ(unresolved.simulations_run, 0u);
+  EXPECT_EQ(unresolved.decompilations_run, 0u);
 }
 
 // The two jump-table EEMBC-style benchmarks fail CDFG recovery in RunMany

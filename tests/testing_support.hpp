@@ -7,11 +7,26 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <system_error>
 #include <vector>
 
+#include "decomp/pass_manager.hpp"
+
 namespace b2h::testing_support {
+
+/// Decompile a copy of `binary` through the PassManager pipeline `spec`
+/// (e.g. "default,-reduce-operator-sizes"), annotated with `profile`.
+inline Result<decomp::DecompiledProgram> RunPipeline(
+    const mips::SoftBinary& binary, const mips::ExecProfile* profile = nullptr,
+    std::string_view spec = "default") {
+  auto manager = decomp::PassManager::FromSpec(spec);
+  if (!manager.ok()) return manager.status();
+  return manager.value().Run(std::make_shared<const mips::SoftBinary>(binary),
+                             profile);
+}
 
 /// mkdtemp-backed scratch directory, removed on destruction.
 struct TempDir {
