@@ -291,6 +291,15 @@ void Function::RemoveUnreachableBlocks() {
   RecomputeCfg();
 }
 
+void Function::EraseBlock(const Block* block) {
+  const auto it = std::find_if(
+      blocks_.begin(), blocks_.end(),
+      [block](const auto& candidate) { return candidate.get() == block; });
+  Check(it != blocks_.end(), "EraseBlock: block not in function");
+  Check(it != blocks_.begin(), "EraseBlock: cannot erase the entry block");
+  blocks_.erase(it);
+}
+
 std::size_t Function::CountOps() const {
   std::size_t count = 0;
   for (const auto& block : blocks_) {

@@ -200,6 +200,10 @@ class Function {
   /// Erase blocks unreachable from the entry; fixes phis of surviving blocks.
   void RemoveUnreachableBlocks();
 
+  /// Erase one block that no terminator targets and no preds list names.
+  /// Its instructions stay allocated; surviving blocks keep their order.
+  void EraseBlock(const Block* block);
+
   /// Total static operation count (reporting).
   [[nodiscard]] std::size_t CountOps() const;
 

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "decomp/lifter.hpp"
 #include "ir/interp.hpp"
 #include "ir/printer.hpp"
@@ -723,6 +725,190 @@ TEST(IfConvert, LinearizesLoopBodyForPipelining) {
   }
   EXPECT_TRUE(self_loop);
   EXPECT_EQ(InterpResultOf(lifted), 8 * 9 / 2 + 28);  // |−8..−1| + 0..7
+}
+
+// The cases below pin what ConvertIfs relies on after its first conversion:
+// the function stays clean, so each later conversion only erases its arms,
+// splices its merge into the head, and runs DCE when it made no select.
+
+std::int32_t RunWith(const Lifted& lifted, std::vector<std::int32_t> args) {
+  ir::Interpreter interp(lifted.module, lifted.binary.data);
+  const auto result = interp.Run(args);
+  EXPECT_TRUE(result.ok) << result.error;
+  return result.return_value;
+}
+
+TEST(IfConvert, InnerConversionExposesOuterDiamond) {
+  // a2 = min(a2, 100);
+  // t0 = a0 > 0 ? (a1 > 0 ? 2*a1 : -a1) + a0 : 7;  return t0 + a2
+  // The outer diamond's arm is the inner diamond's head: it only becomes
+  // a forwarding arm once the inner diamond has collapsed into it.
+  auto lifted = LiftAsm(R"(
+    main:
+      slti $t1, $a2, 101
+      bne $t1, $zero, clamped
+      li $a2, 100
+    clamped:
+      blez $a0, outer_else
+      bgtz $a1, inner_pos
+      subu $t0, $zero, $a1
+      b inner_merge
+    inner_pos:
+      sll $t0, $a1, 1
+    inner_merge:
+      addu $t0, $t0, $a0
+      b done
+    outer_else:
+      li $t0, 7
+    done:
+      addu $v0, $t0, $a2
+      jr $ra
+  )");
+  ir::Function& main = *lifted.module.main;
+  SimplifyConstants(main);
+  const auto stats = ConvertIfs(main);
+  EXPECT_EQ(stats.diamonds_converted, 3u);
+  EXPECT_EQ(main.blocks().size(), 1u);
+  EXPECT_EQ(CountOps(main, ir::Opcode::kCondBr), 0u);
+  EXPECT_TRUE(ir::Verify(main).ok());
+  EXPECT_EQ(RunWith(lifted, {5, 4, 500}), 2 * 4 + 5 + 100);
+  EXPECT_EQ(RunWith(lifted, {5, -4, 20}), 4 + 5 + 20);
+  EXPECT_EQ(RunWith(lifted, {0, 4, 20}), 7 + 20);
+}
+
+TEST(IfConvert, SelectFreeDiamondDropsItsCompareChain) {
+  // The second triangle's merge has no phis (its arm's result is never
+  // read), so no select keeps the xor/eq chain of its branch alive.
+  auto lifted = LiftAsm(R"(
+    main:
+      slti $t1, $a0, 101
+      bne $t1, $zero, clamped
+      li $a0, 100
+    clamped:
+      xor $t2, $a0, $a1
+      beq $t2, $zero, same
+      addu $t3, $a0, $a1
+    same:
+      move $v0, $a0
+      jr $ra
+  )");
+  ir::Function& main = *lifted.module.main;
+  SimplifyConstants(main);
+  ASSERT_EQ(CountOps(main, ir::Opcode::kXor), 1u);
+  const auto stats = ConvertIfs(main);
+  EXPECT_EQ(stats.diamonds_converted, 2u);
+  EXPECT_EQ(stats.selects_created, 1u);
+  EXPECT_EQ(main.blocks().size(), 1u);
+  EXPECT_EQ(CountOps(main, ir::Opcode::kXor), 0u);
+  EXPECT_EQ(CountOps(main, ir::Opcode::kEq), 0u);
+  EXPECT_TRUE(ir::Verify(main).ok());
+  EXPECT_EQ(RunWith(lifted, {55, 55}), 55);
+  EXPECT_EQ(RunWith(lifted, {5000, 3}), 100);
+}
+
+TEST(IfConvert, TwoDiamondsInOneLoopBodyLeaveASelfLoop) {
+  // for (i = -8; i < 8; ++i) { s += |i|; if (i >= 3) s += 1; }
+  auto lifted = LiftAsm(R"(
+    main:
+      li $s0, 0
+      li $s1, -8
+    loop:
+      move $t0, $s1
+      bgez $t0, pos
+      subu $t0, $zero, $t0
+    pos:
+      addu $s0, $s0, $t0
+      slti $t1, $s1, 3
+      bne $t1, $zero, small
+      addiu $s0, $s0, 1
+    small:
+      addiu $s1, $s1, 1
+      slti $t9, $s1, 8
+      bne $t9, $zero, loop
+      move $v0, $s0
+      jr $ra
+  )");
+  ir::Function& main = *lifted.module.main;
+  SimplifyConstants(main);
+  const auto stats = ConvertIfs(main);
+  EXPECT_EQ(stats.diamonds_converted, 2u);
+  ASSERT_EQ(main.blocks().size(), 3u);  // entry, loop, exit
+  const ir::Block* loop = main.blocks()[1].get();
+  const auto succs = loop->succs();
+  EXPECT_EQ(std::count(succs.begin(), succs.end(), loop), 1);
+  EXPECT_EQ(CountOps(main, ir::Opcode::kSelect), 2u);
+  EXPECT_TRUE(ir::Verify(main).ok());
+  EXPECT_EQ(InterpResultOf(lifted), 64 + 5);  // sum |i| = 64; i = 3..7
+}
+
+TEST(IfConvert, TriangleMergeChainSplicesIntoHead) {
+  // The merge continues through two unconditional jumps back to blocks
+  // laid out before the head (n1, then n2): the whole chain ends up in the
+  // head, whose position in the block list shifts as it absorbs them.
+  auto lifted = LiftAsm(R"(
+    main:
+      bne $a2, $zero, start
+      li $v0, 0
+      jr $ra
+    n2:
+      addu $v0, $t0, $a1
+      jr $ra
+    n1:
+      sll $t0, $t0, 1
+      b n2
+    start:
+      slti $t1, $a0, 101
+      move $t0, $a0
+      bne $t1, $zero, merge
+      li $t0, 100
+    merge:
+      addiu $t0, $t0, 3
+      b n1
+  )");
+  ir::Function& main = *lifted.module.main;
+  SimplifyConstants(main);
+  const auto stats = ConvertIfs(main);
+  EXPECT_EQ(stats.diamonds_converted, 1u);
+  ASSERT_EQ(main.blocks().size(), 3u);  // entry, return-0 arm, head
+  const ir::Block* head = main.blocks()[2].get();
+  EXPECT_EQ(head->terminator()->op, ir::Opcode::kRet);
+  EXPECT_EQ(CountOps(main, ir::Opcode::kBr), 0u);
+  EXPECT_TRUE(ir::Verify(main).ok());
+  EXPECT_EQ(RunWith(lifted, {55, 1, 1}), (55 + 3) * 2 + 1);
+  EXPECT_EQ(RunWith(lifted, {5000, 1, 1}), (100 + 3) * 2 + 1);
+  EXPECT_EQ(RunWith(lifted, {55, 1, 0}), 0);
+}
+
+TEST(IfConvert, SpliceKeepsPhiOperandsWithTheirPreds) {
+  // s's preds are x and m, in that block order.  Splicing m into the
+  // diamond head h (laid out before x) makes h come first, so the phi for
+  // t0 in s must swap its operands along with the preds.
+  auto lifted = LiftAsm(R"(
+    main:
+      beq $a1, $zero, x
+    h:
+      bgtz $a0, t
+      subu $t0, $zero, $a0
+      b m
+    x:
+      li $t0, 5
+      b s
+    t:
+      sll $t0, $a0, 1
+    m:
+      addiu $t0, $t0, 1
+      b s
+    s:
+      move $v0, $t0
+      jr $ra
+  )");
+  ir::Function& main = *lifted.module.main;
+  SimplifyConstants(main);
+  EXPECT_EQ(ConvertIfs(main).diamonds_converted, 2u);
+  EXPECT_TRUE(ir::Verify(main).ok());
+  EXPECT_EQ(RunWith(lifted, {3, 1}), 2 * 3 + 1);
+  EXPECT_EQ(RunWith(lifted, {-3, 1}), 3 + 1);
+  EXPECT_EQ(RunWith(lifted, {3, 0}), 5);
 }
 
 // ---------------------------------------------------------------------------
