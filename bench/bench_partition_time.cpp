@@ -88,6 +88,8 @@ BENCHMARK_CAPTURE(BM_Decompile, matmul, "matmul");
 // The slowest suite decompile (72 if-converted diamonds): the binary behind
 // the cold-request p99.
 BENCHMARK_CAPTURE(BM_Decompile, adpcm_enc_O3, "adpcm_enc", 3);
+// The next slowest: jpeg_dct@O3 (~2.2-2.6 ms in process).
+BENCHMARK_CAPTURE(BM_Decompile, jpeg_dct_O3, "jpeg_dct", 3);
 BENCHMARK_CAPTURE(BM_PartitionAndSynthesize, fir, "fir");
 BENCHMARK_CAPTURE(BM_PartitionAndSynthesize, adpcm_enc, "adpcm_enc");
 BENCHMARK_CAPTURE(BM_PartitionAndSynthesize, matmul, "matmul");

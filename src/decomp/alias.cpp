@@ -50,7 +50,7 @@ void Decompose(const Value& value, Decomposition& out, int sign, int depth) {
 AliasAnalysis::AliasAnalysis(
     const ir::Function& function,
     const std::map<std::string, std::uint32_t>* data_symbols)
-    : function_(function) {
+    : region_of_(function, -1) {
   if (data_symbols != nullptr) {
     for (const auto& [name, addr] : *data_symbols) {
       if (addr >= GuestMemory::kDataBase && addr < GuestMemory::kStackBase) {
@@ -129,8 +129,7 @@ int AliasAnalysis::ClassifyAddress(const Value& addr) {
 }
 
 int AliasAnalysis::RegionIdOf(const ir::Instr* instr) const {
-  const auto it = region_of_.find(instr);
-  return it == region_of_.end() ? -1 : it->second;
+  return region_of_.Get(instr);
 }
 
 std::set<int> AliasAnalysis::RegionsIn(const ir::Loop& loop) const {
@@ -141,12 +140,6 @@ std::set<int> AliasAnalysis::RegionsIn(const ir::Loop& loop) const {
       out.insert(RegionIdOf(instr));
     }
   }
-  return out;
-}
-
-std::set<int> AliasAnalysis::AllRegions() const {
-  std::set<int> out;
-  for (const auto& [instr, region] : region_of_) out.insert(region);
   return out;
 }
 

@@ -16,7 +16,6 @@
 #include <map>
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "ir/ir.hpp"
@@ -45,8 +44,6 @@ class AliasAnalysis {
 
   /// Region ids touched by any load/store in `loop`.
   [[nodiscard]] std::set<int> RegionsIn(const ir::Loop& loop) const;
-  /// Region ids touched anywhere in the function.
-  [[nodiscard]] std::set<int> AllRegions() const;
 
   /// Conservative: may the two memory operations access the same location?
   [[nodiscard]] bool MayAlias(const ir::Instr* a, const ir::Instr* b) const;
@@ -55,10 +52,10 @@ class AliasAnalysis {
   int ClassifyAddress(const ir::Value& addr);
   int InternRegion(MemRegion region);
 
-  const ir::Function& function_;
   std::vector<std::pair<std::uint32_t, std::string>> sorted_symbols_;
   std::vector<MemRegion> regions_;
-  std::unordered_map<const ir::Instr*, int> region_of_;
+  /// Region id per load/store slot; -1 when unclassifiable or not memory.
+  ir::SlotTable<int> region_of_;
 };
 
 }  // namespace b2h::decomp

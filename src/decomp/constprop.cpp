@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 
 #include "decomp/lifter.hpp"
 #include "decomp/passes.hpp"
@@ -134,7 +133,13 @@ std::size_t SimplifyConstants(ir::Function& function) {
   bool changed = true;
   while (changed) {
     changed = false;
-    std::unordered_map<const ir::Instr*, Value> replacements;
+    // Filled lazily: a round that folds nothing allocates nothing.
+    ir::SlotTable<Value> replacements;
+    std::size_t found = 0;
+    const auto replace = [&](ir::Instr* instr, Value value) {
+      if (found++ == 0) replacements = ir::SlotTable<Value>(function);
+      replacements[instr] = value;
+    };
 
     for (const auto& block : function.blocks()) {
       for (ir::Instr* instr : block->instrs) {
@@ -143,20 +148,19 @@ std::size_t SimplifyConstants(ir::Function& function) {
             instr->operands[0].is_const() && instr->operands[1].is_const()) {
           if (auto value = Fold(instr->op, instr->operands[0].imm,
                                 instr->operands[1].imm)) {
-            replacements[instr] = Value::Const(*value);
+            replace(instr, Value::Const(*value));
             continue;
           }
         }
         // kConst instructions become immediate operands.
         if (instr->op == Opcode::kConst) {
-          replacements[instr] = Value::Const(instr->imm);
+          replace(instr, Value::Const(instr->imm));
           continue;
         }
         // Select with constant condition.
         if (instr->op == Opcode::kSelect && instr->operands[0].is_const()) {
-          replacements[instr] =
-              instr->operands[0].imm != 0 ? instr->operands[1]
-                                          : instr->operands[2];
+          replace(instr, instr->operands[0].imm != 0 ? instr->operands[1]
+                                                     : instr->operands[2]);
           continue;
         }
         // Extensions of constants.
@@ -172,13 +176,13 @@ std::size_t SimplifyConstants(ir::Function& function) {
           } else {
             value = static_cast<std::int32_t>(raw & LowMask(instr->width));
           }
-          replacements[instr] = Value::Const(value);
+          replace(instr, Value::Const(value));
           continue;
         }
         // Algebraic identities.
         const Value identity = Identity(*instr);
         if (!identity.is_none()) {
-          replacements[instr] = identity;
+          replace(instr, identity);
           continue;
         }
         // Canonicalize: constants on the right for commutative ops
@@ -255,17 +259,17 @@ std::size_t SimplifyConstants(ir::Function& function) {
       break;  // CFG changed; rescan from a clean state
     }
 
-    if (!replacements.empty()) {
+    if (found != 0) {
       function.ReplaceAllUses(replacements);
       for (const auto& block : function.blocks()) {
         auto& instrs = block->instrs;
         instrs.erase(std::remove_if(instrs.begin(), instrs.end(),
                                     [&](const ir::Instr* instr) {
-                                      return replacements.count(instr) != 0;
+                                      return !replacements[instr].is_none();
                                     }),
                      instrs.end());
       }
-      simplified += replacements.size();
+      simplified += found;
       changed = true;
     }
     if (changed) {

@@ -53,7 +53,8 @@ void InlineCall(ir::Function& caller, ir::Block* block, ir::Instr* call,
 
   // Clone callee blocks and instructions.
   std::unordered_map<const ir::Block*, ir::Block*> block_map;
-  std::unordered_map<const ir::Instr*, ir::Instr*> instr_map;
+  // Callee instruction -> its caller clone, indexed by callee slot.
+  ir::SlotTable<ir::Instr*> instr_map(callee, nullptr);
   for (const auto& cb : callee.blocks()) {
     block_map[cb.get()] = caller.CreateBlock(
         callee.name() + "_" + cb->name, cb->start_pc);
@@ -63,8 +64,8 @@ void InlineCall(ir::Function& caller, ir::Block* block, ir::Instr* call,
 
   const auto map_value = [&](const Value& value) -> Value {
     if (!value.is_instr()) return value;
-    const auto it = instr_map.find(value.def);
-    if (it == instr_map.end()) {
+    ir::Instr* const mapped = instr_map.Get(value.def);
+    if (mapped == nullptr) {
       throw InternalError(std::string("InlineCall: unmapped operand op=") +
                           ir::OpcodeName(value.def->op) +
                           " id=" + std::to_string(value.def->id) +
@@ -73,7 +74,7 @@ void InlineCall(ir::Function& caller, ir::Block* block, ir::Instr* call,
                                ? value.def->parent->name
                                : std::string("<none>")));
     }
-    return Value::Of(it->second);
+    return Value::Of(mapped);
   };
 
   for (const auto& cb : callee.blocks()) {
@@ -126,7 +127,7 @@ void InlineCall(ir::Function& caller, ir::Block* block, ir::Instr* call,
       ni->target1 = ci->target1;
       for (const Value& operand : ci->operands) {
         // Phi operands may reference not-yet-cloned instrs; fill later.
-        if (operand.is_instr() && instr_map.count(operand.def) == 0) {
+        if (operand.is_instr() && instr_map[operand.def] == nullptr) {
           ni->operands.push_back(Value::None());
           continue;
         }
@@ -141,10 +142,16 @@ void InlineCall(ir::Function& caller, ir::Block* block, ir::Instr* call,
     }
   }
   // Fix forward references (phi operands and any cross-block forward uses).
-  for (const auto& [ci, ni] : instr_map) {
-    for (std::size_t i = 0; i < ni->operands.size(); ++i) {
-      if (ni->operands[i].is_none()) {
-        ni->operands[i] = map_value(ci->operands[i]);
+  // Input shims have no None operands; every other clone mirrors its
+  // callee instruction's operand list.
+  for (const auto& cb : callee.blocks()) {
+    for (const ir::Instr* ci : cb->instrs) {
+      ir::Instr* ni = instr_map[ci];
+      if (ni == nullptr) continue;
+      for (std::size_t i = 0; i < ni->operands.size(); ++i) {
+        if (ni->operands[i].is_none()) {
+          ni->operands[i] = map_value(ci->operands[i]);
+        }
       }
     }
   }
@@ -199,7 +206,8 @@ void InlineCall(ir::Function& caller, ir::Block* block, ir::Instr* call,
   }
 
   // Replace the call's uses with the return value and delete the call.
-  std::unordered_map<const ir::Instr*, Value> replacement{{call, result}};
+  ir::SlotTable<Value> replacement(caller);
+  replacement[call] = result;
   caller.ReplaceAllUses(replacement);
   block->Remove(call);
   caller.RecomputeCfg();

@@ -6,7 +6,6 @@
 #include <map>
 #include <set>
 #include <sstream>
-#include <unordered_map>
 
 #include "mips/isa.hpp"
 #include "support/bits.hpp"
@@ -163,26 +162,43 @@ class FunctionLifter {
   };
 
   void CreateBlocks() {
+    // Per-block state is indexed by the leader's position in address order.
+    leaders_.reserve(cfg_.blocks.size());
+    for (const auto& [leader, mblock] : cfg_.blocks) leaders_.push_back(leader);
+    blocks_.assign(leaders_.size(), nullptr);
+    states_.assign(leaders_.size(), BlockState{});
+    entry_values_.assign(leaders_.size() * kNumLocs, ir::Value::None());
     // The entry block must be first in the function.
     std::vector<std::uint32_t> order;
     order.push_back(cfg_.entry);
-    for (const auto& [leader, mblock] : cfg_.blocks) {
+    for (std::uint32_t leader : leaders_) {
       if (leader != cfg_.entry) order.push_back(leader);
     }
     for (std::uint32_t leader : order) {
       std::ostringstream name;
       name << "bb_" << std::hex << leader;
       ir::Block* block = function_.CreateBlock(name.str(), leader);
-      blocks_[leader] = block;
-      states_[leader].block = block;
+      blocks_[IndexOf(leader)] = block;
+      states_[IndexOf(leader)].block = block;
     }
+  }
+
+  /// Position of `leader` among the function's block leaders.
+  [[nodiscard]] std::size_t IndexOf(std::uint32_t leader) const {
+    const auto it = std::lower_bound(leaders_.begin(), leaders_.end(), leader);
+    Check(it != leaders_.end() && *it == leader, "lifter: not a block leader");
+    return static_cast<std::size_t>(it - leaders_.begin());
+  }
+
+  [[nodiscard]] ir::Block* BlockAt(std::uint32_t leader) const {
+    return blocks_[IndexOf(leader)];
   }
 
   ir::Value Undef() {
     if (undef_ == nullptr) {
       undef_ = function_.Create(ir::Opcode::kUndef);
       // Prepend into entry so it dominates all uses.
-      ir::Block* entry = blocks_.at(cfg_.entry);
+      ir::Block* entry = BlockAt(cfg_.entry);
       entry->instrs.insert(entry->instrs.begin(), undef_);
       undef_->parent = entry;
     }
@@ -192,16 +208,14 @@ class FunctionLifter {
   /// Value of register `reg` at the entry of `leader`'s block.
   ir::Value EntryValue(std::uint32_t leader, unsigned reg) {
     if (reg == 0) return ir::Value::Const(0);
-    const auto key = std::make_pair(leader, reg);
-    if (const auto it = entry_values_.find(key); it != entry_values_.end()) {
-      return it->second;
-    }
+    ir::Value& memo = entry_values_[IndexOf(leader) * kNumLocs + reg];
+    if (!memo.is_none()) return memo;
     ir::Value value;
     if (leader == cfg_.entry) {
       ir::Instr* input = function_.Create(ir::Opcode::kInput);
       input->input_index = static_cast<std::uint16_t>(reg);
       input->src_pc = leader;
-      ir::Block* entry = blocks_.at(cfg_.entry);
+      ir::Block* entry = BlockAt(cfg_.entry);
       entry->instrs.insert(entry->instrs.begin(), input);
       input->parent = entry;
       value = ir::Value::Of(input);
@@ -210,19 +224,19 @@ class FunctionLifter {
       // lifted (ResolvePlaceholders).  Memoize first to break cycles.
       ir::Instr* phi = function_.Create(ir::Opcode::kPhi);
       phi->src_pc = leader;
-      blocks_.at(leader)->PrependPhi(phi);
-      entry_values_[key] = ir::Value::Of(phi);
+      BlockAt(leader)->PrependPhi(phi);
+      memo = ir::Value::Of(phi);
       pending_phis_.emplace_back(phi, leader, reg);
-      return ir::Value::Of(phi);
+      return memo;
     }
-    entry_values_[key] = value;
+    memo = value;
     return value;
   }
 
   /// Value of register `reg` at the exit of `leader`'s block.
   ir::Value ExitValue(std::uint32_t leader, unsigned reg) {
     if (reg == 0) return ir::Value::Const(0);
-    const BlockState& state = states_.at(leader);
+    const BlockState& state = states_[IndexOf(leader)];
     if (!state.reg[reg].is_none()) return state.reg[reg];
     return EntryValue(leader, reg);
   }
@@ -232,7 +246,7 @@ class FunctionLifter {
     // so iterate by index over the growing vector.
     for (std::size_t i = 0; i < pending_phis_.size(); ++i) {
       const auto [phi, leader, reg] = pending_phis_[i];
-      ir::Block* block = blocks_.at(leader);
+      ir::Block* block = BlockAt(leader);
       std::vector<ir::Value> operands;
       operands.reserve(block->preds.size());
       for (ir::Block* pred : block->preds) {
@@ -243,8 +257,9 @@ class FunctionLifter {
   }
 
   Status LiftBlock(const MBlock& mblock) {
-    ir::Block* block = blocks_.at(mblock.start);
-    BlockState& state = states_.at(mblock.start);
+    const std::size_t index = IndexOf(mblock.start);
+    ir::Block* block = blocks_[index];
+    BlockState& state = states_[index];
 
     const auto read = [&](unsigned reg) -> ir::Value {
       if (reg == 0) return ir::Value::Const(0);
@@ -420,12 +435,12 @@ class FunctionLifter {
           // Unconditional pseudo-branches were normalized in CFG recovery.
           if (in.op == Op::kBeq && in.rs == 0 && in.rt == 0) {
             ir::Instr* br = emit(ir::Opcode::kBr, {}, pc);
-            br->target0 = blocks_.at(target);
+            br->target0 = BlockAt(target);
             break;
           }
           if (in.op == Op::kBne && in.rs == in.rt) {
             ir::Instr* br = emit(ir::Opcode::kBr, {}, pc);
-            br->target0 = blocks_.at(pc + 4);
+            br->target0 = BlockAt(pc + 4);
             break;
           }
           ir::Value cond;
@@ -454,13 +469,13 @@ class FunctionLifter {
               break;
           }
           ir::Instr* br = emit(ir::Opcode::kCondBr, {cond}, pc);
-          br->target0 = blocks_.at(target);
-          br->target1 = blocks_.at(pc + 4);
+          br->target0 = BlockAt(target);
+          br->target1 = BlockAt(pc + 4);
           break;
         }
         case Op::kJ: {
           ir::Instr* br = emit(ir::Opcode::kBr, {}, pc);
-          br->target0 = blocks_.at(mips::JumpTarget(pc, in));
+          br->target0 = BlockAt(mips::JumpTarget(pc, in));
           break;
         }
         case Op::kJr:
@@ -480,7 +495,7 @@ class FunctionLifter {
       Check(mblock.succs.size() == 1, "lifter: fallthrough without successor");
       ir::Instr* br = function_.Create(ir::Opcode::kBr);
       br->src_pc = mblock.end - 4;
-      br->target0 = blocks_.at(mblock.succs[0]);
+      br->target0 = BlockAt(mblock.succs[0]);
       block->Append(br);
     }
     return Status::Ok();
@@ -507,9 +522,11 @@ class FunctionLifter {
   const MachineCfg& cfg_;
   ir::Function& function_;
   const LiftOptions& options_;
-  std::map<std::uint32_t, ir::Block*> blocks_;
-  std::map<std::uint32_t, BlockState> states_;
-  std::map<std::pair<std::uint32_t, unsigned>, ir::Value> entry_values_;
+  std::vector<std::uint32_t> leaders_;  ///< block leaders, ascending
+  std::vector<ir::Block*> blocks_;
+  std::vector<BlockState> states_;
+  /// Register value at block entry, [index * kNumLocs + reg]; None = unset.
+  std::vector<ir::Value> entry_values_;
   std::vector<std::tuple<ir::Instr*, std::uint32_t, unsigned>> pending_phis_;
   ir::Instr* undef_ = nullptr;
 };
@@ -518,12 +535,13 @@ class FunctionLifter {
 
 std::size_t EliminateTrivialPhis(ir::Function& function) {
   std::size_t total_removed = 0;
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    std::unordered_map<const ir::Instr*, ir::Value> replacements;
+  while (true) {
+    // Built on the first trivial phi of a round: most calls find none.
+    ir::SlotTable<ir::Value> replacements;
+    std::size_t found = 0;
     for (const auto& block : function.blocks()) {
-      for (ir::Instr* phi : block->Phis()) {
+      for (ir::Instr* phi : block->instrs) {
+        if (phi->op != ir::Opcode::kPhi) break;
         ir::Value unique = ir::Value::None();
         bool trivial = true;
         for (const ir::Value& operand : phi->operands) {
@@ -536,22 +554,22 @@ std::size_t EliminateTrivialPhis(ir::Function& function) {
           }
         }
         if (trivial && !unique.is_none()) {
+          if (found++ == 0) replacements = ir::SlotTable<ir::Value>(function);
           replacements[phi] = unique;
         }
       }
     }
-    if (replacements.empty()) break;
+    if (found == 0) break;
     function.ReplaceAllUses(replacements);
     for (const auto& block : function.blocks()) {
       auto& instrs = block->instrs;
       instrs.erase(std::remove_if(instrs.begin(), instrs.end(),
                                   [&](const ir::Instr* instr) {
-                                    return replacements.count(instr) != 0;
+                                    return !replacements[instr].is_none();
                                   }),
                    instrs.end());
     }
-    total_removed += replacements.size();
-    changed = true;
+    total_removed += found;
   }
   return total_removed;
 }

@@ -28,8 +28,6 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "decomp/lifter.hpp"
@@ -179,8 +177,11 @@ std::optional<std::int64_t> AffineCoeff(
 /// One candidate factoring attempt for a given U.
 class RerollAttempt {
  public:
-  RerollAttempt(const LoopShape& shape, std::size_t factor)
-      : shape_(shape), factor_(factor) {}
+  static constexpr std::size_t kNoPos = SIZE_MAX;
+
+  RerollAttempt(const ir::Function& function, const LoopShape& shape,
+                std::size_t factor)
+      : shape_(shape), factor_(factor), version_pos_(function, kNoPos) {}
 
   bool Match() {
     const std::size_t body_ops = shape_.body.size() - shape_.tail_len;
@@ -257,9 +258,9 @@ class RerollAttempt {
     // Rewire phi latch operands into section 0.
     for (ir::Instr* phi : shape_.phis) {
       if (phi == shape_.induction_phi) continue;
-      const auto it = version_pos_.find(phi);
-      if (it == version_pos_.end()) continue;
-      phi->operands[shape_.latch_index] = Value::Of(at(0, it->second));
+      const std::size_t pos = version_pos_[phi];
+      if (pos == kNoPos) continue;
+      phi->operands[shape_.latch_index] = Value::Of(at(0, pos));
     }
     // Induction step S -> S/U.
     shape_.induction_add->operands[1] = Value::Const(new_step_);
@@ -268,7 +269,8 @@ class RerollAttempt {
     // iteration's state) reference instructions in later sections; after
     // rerolling, the final iteration's value at position k is produced by
     // section 0's instruction at position k.
-    std::unordered_map<const ir::Instr*, Value> escapes;
+    // The same table then marks sections 1..U-1 for deletion.
+    ir::SlotTable<Value> escapes(function);
     for (std::size_t j = 1; j < factor_; ++j) {
       for (std::size_t k = 0; k < section_len_; ++k) {
         escapes[at(j, k)] = Value::Of(at(0, k));
@@ -277,16 +279,10 @@ class RerollAttempt {
     function.ReplaceAllUses(escapes);
 
     // Delete sections 1..U-1.
-    std::unordered_set<const ir::Instr*> doomed;
-    for (std::size_t j = 1; j < factor_; ++j) {
-      for (std::size_t k = 0; k < section_len_; ++k) {
-        doomed.insert(at(j, k));
-      }
-    }
     auto& instrs = shape_.block->instrs;
     instrs.erase(std::remove_if(instrs.begin(), instrs.end(),
                                 [&](const ir::Instr* instr) {
-                                  return doomed.count(instr) != 0;
+                                  return !escapes[instr].is_none();
                                 }),
                  instrs.end());
 
@@ -361,10 +357,10 @@ class RerollAttempt {
       // produced at the phi's version position.
       if (x.def->op == Opcode::kPhi && x.def->parent == shape_.block &&
           x.def != shape_.induction_phi) {
-        const auto vp = version_pos_.find(x.def);
-        if (vp == version_pos_.end()) return false;
+        const std::size_t vp = version_pos_[x.def];
+        if (vp == kNoPos) return false;
         const ir::Instr* expected =
-            shape_.body[(j - 1) * section_len_ + vp->second];
+            shape_.body[(j - 1) * section_len_ + vp];
         if (y.def != expected) return false;
         continue;
       }
@@ -388,7 +384,8 @@ class RerollAttempt {
   std::int32_t new_step_ = 0;
   // Per position k: operand index -> per-section constant delta.
   std::vector<std::map<std::size_t, std::int64_t>> deltas_;
-  std::unordered_map<const ir::Instr*, std::size_t> version_pos_;
+  /// Loop phi -> position of its latch value in the last section.
+  ir::SlotTable<std::size_t> version_pos_;
 };
 
 }  // namespace
@@ -400,40 +397,45 @@ namespace {
 /// kAdd(x, 0): those are the section-0 induction offsets unrolled code
 /// carries, and the matcher keys on them.
 std::size_t FoldRegisterMoves(ir::Function& function) {
-  std::unordered_map<const ir::Instr*, ir::Value> replacements;
+  ir::SlotTable<ir::Value> replacements(function);
+  std::size_t found = 0;
   for (const auto& block : function.blocks()) {
     for (ir::Instr* instr : block->instrs) {
+      ir::Value replacement = ir::Value::None();
       if (instr->op == Opcode::kOr) {
         if (instr->operands[0].is_const() && instr->operands[1].is_const()) {
           // `li` via lui+ori.
-          replacements[instr] = ir::Value::Const(
-              instr->operands[0].imm | instr->operands[1].imm);
+          replacement = ir::Value::Const(instr->operands[0].imm |
+                                         instr->operands[1].imm);
         } else if (instr->operands[1].is_const_value(0)) {
-          replacements[instr] = instr->operands[0];
+          replacement = instr->operands[0];
         } else if (instr->operands[0].is_const_value(0)) {
-          replacements[instr] = instr->operands[1];
+          replacement = instr->operands[1];
         }
       } else if (instr->op == Opcode::kAdd &&
                  instr->operands[0].is_const() &&
                  instr->operands[1].is_const()) {
         // `li` via addiu $rd, $zero, imm.
-        replacements[instr] = ir::Value::Const(static_cast<std::int32_t>(
+        replacement = ir::Value::Const(static_cast<std::int32_t>(
             static_cast<std::uint32_t>(instr->operands[0].imm) +
             static_cast<std::uint32_t>(instr->operands[1].imm)));
       }
+      if (replacement.is_none()) continue;
+      replacements[instr] = replacement;
+      ++found;
     }
   }
-  if (replacements.empty()) return 0;
+  if (found == 0) return 0;
   function.ReplaceAllUses(replacements);
   for (const auto& block : function.blocks()) {
     auto& instrs = block->instrs;
     instrs.erase(std::remove_if(instrs.begin(), instrs.end(),
                                 [&](const ir::Instr* instr) {
-                                  return replacements.count(instr) != 0;
+                                  return !replacements[instr].is_none();
                                 }),
                  instrs.end());
   }
-  return replacements.size();
+  return found;
 }
 
 }  // namespace
@@ -458,7 +460,7 @@ RerollStats RerollLoops(ir::Function& function) {
     const auto shape = MatchShape(block);
     if (!shape) continue;
     for (std::size_t factor : {8u, 4u, 2u}) {
-      RerollAttempt attempt(*shape, factor);
+      RerollAttempt attempt(function, *shape, factor);
       if (attempt.Match()) {
         attempt.Apply(function);
         ++stats.loops_rerolled;

@@ -131,7 +131,8 @@ class PassManager {
                    std::vector<PassRunStats>& pass_runs) const;
 
  private:
-  /// Shared tail of Run/RunAt: pipeline + final cleanup + verification.
+  /// Shared tail of Run/RunAt: pipeline + final cleanup + verification,
+  /// then frees the instructions no block holds.
   [[nodiscard]] Result<DecompiledProgram> Finish(
       std::shared_ptr<const mips::SoftBinary> binary, ir::Module lifted) const;
 

@@ -14,7 +14,6 @@
 // saving comes from.
 #include <algorithm>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "decomp/passes.hpp"
@@ -53,19 +52,20 @@ Fact Join(const Fact& a, const Fact& b) {
 
 class ForwardWidths {
  public:
-  explicit ForwardWidths(const ir::Function& function) : function_(function) {
+  explicit ForwardWidths(const ir::Function& function)
+      : function_(function), facts_(function) {
     Run();
   }
 
   [[nodiscard]] Fact Of(const Value& value) const {
     if (value.is_const()) return ConstFact(value.imm);
-    const auto it = facts_.find(value.def);
-    return it == facts_.end() ? Fact{} : it->second;
+    return facts_[value.def];
   }
 
  private:
   void Run() {
     // Optimistic initialization; widths only grow, so iteration converges.
+    // Instructions without a result keep the pessimistic Fact{}.
     for (const auto& block : function_.blocks()) {
       for (const ir::Instr* instr : block->instrs) {
         if (instr->width == 0) continue;
@@ -220,19 +220,19 @@ class ForwardWidths {
   }
 
   const ir::Function& function_;
-  std::unordered_map<const ir::Instr*, Fact> facts_;
+  ir::SlotTable<Fact> facts_;
 };
 
 /// Backward demanded-bits: how many low result bits any consumer observes.
 class DemandedBits {
  public:
-  explicit DemandedBits(const ir::Function& function) : function_(function) {
+  explicit DemandedBits(const ir::Function& function)
+      : function_(function), demanded_(function, 32u) {
     Run();
   }
 
   [[nodiscard]] unsigned Of(const ir::Instr* instr) const {
-    const auto it = demanded_.find(instr);
-    return it == demanded_.end() ? 32u : it->second;
+    return demanded_[instr];
   }
 
  private:
@@ -317,7 +317,7 @@ class DemandedBits {
   }
 
   const ir::Function& function_;
-  std::unordered_map<const ir::Instr*, unsigned> demanded_;
+  ir::SlotTable<unsigned> demanded_;
 };
 
 }  // namespace

@@ -22,7 +22,6 @@
 #include <map>
 #include <optional>
 #include <set>
-#include <unordered_map>
 
 #include "decomp/lifter.hpp"
 #include "decomp/passes.hpp"
@@ -64,7 +63,8 @@ AddrClass Join(const AddrClass& a, const AddrClass& b) {
 
 class StackAnalysis {
  public:
-  explicit StackAnalysis(ir::Function& function) : function_(function) {}
+  explicit StackAnalysis(ir::Function& function)
+      : function_(function), class_(function) {}
 
   /// Run the classification to a fixpoint; returns false if promotion is
   /// unsafe (unknown addresses or escaping sp-derived values).
@@ -89,8 +89,7 @@ class StackAnalysis {
 
   [[nodiscard]] AddrClass ClassOf(const Value& value) const {
     if (value.is_const()) return AddrClass::NotStack();
-    const auto it = class_.find(value.def);
-    return it == class_.end() ? AddrClass::Top() : it->second;
+    return class_.Get(value.def);
   }
 
  private:
@@ -189,7 +188,7 @@ class StackAnalysis {
   }
 
   ir::Function& function_;
-  std::unordered_map<const ir::Instr*, AddrClass> class_;
+  ir::SlotTable<AddrClass> class_;  ///< Top until classified
 };
 
 }  // namespace
@@ -241,8 +240,10 @@ StackRemovalStats RemoveStackOperations(ir::Function& function) {
       pending_phis;
   // Per-block sequential state and exit values.
   std::map<const ir::Block*, std::map<std::int32_t, Value>> exit_values;
-  std::unordered_map<const ir::Instr*, Value> load_replacements;
-  std::vector<ir::Instr*> dead_stores;
+  // Sized before the mem2reg walk: the phis and undef it creates are never
+  // replaced or removed, so they read as None / not dead.
+  ir::SlotTable<Value> load_replacements(function);
+  ir::SlotTable<std::uint8_t> dead_stores(function);
   ir::Instr* undef = nullptr;
 
   const auto get_undef = [&]() -> Value {
@@ -287,7 +288,7 @@ StackRemovalStats RemoveStackOperations(ir::Function& function) {
       }
       if (instr->op == Opcode::kStore) {
         state[addr.offset] = instr->operands[1];
-        dead_stores.push_back(instr);
+        dead_stores[instr] = 1;
         ++stats.stores_removed;
       } else {
         Value value;
@@ -340,10 +341,8 @@ StackRemovalStats RemoveStackOperations(ir::Function& function) {
     instrs.erase(
         std::remove_if(instrs.begin(), instrs.end(),
                        [&](const ir::Instr* instr) {
-                         return load_replacements.count(instr) != 0 ||
-                                std::find(dead_stores.begin(),
-                                          dead_stores.end(),
-                                          instr) != dead_stores.end();
+                         return !load_replacements.Get(instr).is_none() ||
+                                dead_stores.Get(instr) != 0;
                        }),
         instrs.end());
   }

@@ -16,8 +16,6 @@
 // promotion").
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "decomp/passes.hpp"
@@ -163,7 +161,7 @@ StrengthPromotionStats PromoteStrength(ir::Function& function) {
 
   // Use counts so we only collapse single-use chains (otherwise the chain
   // stays alive and the new multiplier is pure area overhead).
-  std::unordered_map<const ir::Instr*, unsigned> use_count;
+  ir::SlotTable<unsigned> use_count(function);
   for (const auto& block : function.blocks()) {
     for (const ir::Instr* instr : block->instrs) {
       for (const Value& operand : instr->operands) {
@@ -172,6 +170,9 @@ StrengthPromotionStats PromoteStrength(ir::Function& function) {
     }
   }
 
+  // Per candidate tree: membership and in-tree use counts, reset after use.
+  ir::SlotTable<std::uint8_t> in_tree(function);
+  ir::SlotTable<unsigned> in_tree_uses(function);
   for (const auto& block : function.blocks()) {
     for (ir::Instr* instr : block->instrs) {
       if (instr->op != Opcode::kAdd && instr->op != Opcode::kSub) continue;
@@ -190,12 +191,16 @@ StrengthPromotionStats PromoteStrength(ir::Function& function) {
       // Every non-root tree node must be used only inside the tree (the
       // tree may be a DAG: a subterm like t = 5x in 25x = (t<<2)+t is used
       // twice within it, which is fine).
-      const std::unordered_set<const ir::Instr*> tree(term->internal.begin(),
-                                                      term->internal.end());
-      std::unordered_map<const ir::Instr*, unsigned> in_tree_uses;
+      std::vector<const ir::Instr*> tree;
+      for (const ir::Instr* node : term->internal) {
+        if (in_tree[node] == 0) {
+          in_tree[node] = 1;
+          tree.push_back(node);
+        }
+      }
       for (const ir::Instr* node : tree) {
         for (const Value& operand : node->operands) {
-          if (operand.is_instr() && tree.count(operand.def) != 0) {
+          if (operand.is_instr() && in_tree[operand.def] != 0) {
             ++in_tree_uses[operand.def];
           }
         }
@@ -204,8 +209,9 @@ StrengthPromotionStats PromoteStrength(ir::Function& function) {
       for (const ir::Instr* node : tree) {
         if (node != instr && use_count[node] != in_tree_uses[node]) {
           sharable = true;
-          break;
         }
+        in_tree[node] = 0;  // reset the scratch tables for the next root
+        in_tree_uses[node] = 0;
       }
       if (sharable) continue;
       // All tree nodes must live in the same block as the root so the

@@ -158,6 +158,12 @@ std::size_t Function::NumInstrs() const {
   return count;
 }
 
+std::size_t Function::NumAllocated() const noexcept {
+  return static_cast<std::size_t>(std::count_if(
+      pool_.begin(), pool_.end(),
+      [](const auto& entry) { return entry != nullptr; }));
+}
+
 Block* Function::CreateBlock(std::string name, std::uint32_t start_pc) {
   auto block = std::make_unique<Block>();
   block->name = std::move(name);
@@ -173,6 +179,7 @@ Instr* Function::Create(Opcode op) {
   instr->op = op;
   if (IsComparison(op)) instr->width = 1;
   if (IsTerminator(op) || op == Opcode::kStore) instr->width = 0;
+  instr->slot = static_cast<std::uint32_t>(pool_.size());
   pool_.push_back(std::move(instr));
   return pool_.back().get();
 }
@@ -201,23 +208,24 @@ void Function::RecomputeCfg() {
   }
 }
 
-void Function::ReplaceAllUses(
-    const std::unordered_map<const Instr*, Value>& map) {
-  if (map.empty()) return;
-  const auto chase = [&map](Value value) {
-    // Follow replacement chains (bounded by map size to catch cycles).
+void Function::ReplaceAllUses(const SlotTable<Value>& replacements) {
+  if (replacements.size() == 0) return;
+  const auto chase = [&replacements](Value value) {
+    // Follow replacement chains (bounded by the table size to catch cycles).
     std::size_t hops = 0;
     while (value.is_instr()) {
-      const auto it = map.find(value.def);
-      if (it == map.end()) break;
-      value = it->second;
-      Check(++hops <= map.size() + 1, "ReplaceAllUses: replacement cycle");
+      const Value& next = replacements.Get(value.def);
+      if (next.is_none()) break;
+      value = next;
+      Check(++hops <= replacements.size(), "ReplaceAllUses: replacement cycle");
     }
     return value;
   };
   for (auto& block : blocks_) {
     for (Instr* instr : block->instrs) {
-      for (Value& operand : instr->operands) operand = chase(operand);
+      for (Value& operand : instr->operands) {
+        if (operand.is_instr()) operand = chase(operand);
+      }
     }
   }
 }
@@ -225,21 +233,22 @@ void Function::ReplaceAllUses(
 std::size_t Function::RemoveDeadInstrs() {
   // Mark: roots are side-effecting instructions; sweep everything else that
   // is not transitively used by a root.
-  std::unordered_set<const Instr*> live;
-  std::deque<const Instr*> work;
+  SlotTable<std::uint8_t> live(*this);
+  std::vector<const Instr*> work;
   for (const auto& block : blocks_) {
     for (const Instr* instr : block->instrs) {
       if (HasSideEffects(instr->op)) {
-        live.insert(instr);
+        live[instr] = 1;
         work.push_back(instr);
       }
     }
   }
   while (!work.empty()) {
-    const Instr* instr = work.front();
-    work.pop_front();
+    const Instr* instr = work.back();
+    work.pop_back();
     for (const Value& operand : instr->operands) {
-      if (operand.is_instr() && live.insert(operand.def).second) {
+      if (operand.is_instr() && live[operand.def] == 0) {
+        live[operand.def] = 1;
         work.push_back(operand.def);
       }
     }
@@ -249,11 +258,33 @@ std::size_t Function::RemoveDeadInstrs() {
     auto& instrs = block->instrs;
     const auto new_end = std::remove_if(
         instrs.begin(), instrs.end(),
-        [&live](const Instr* instr) { return live.count(instr) == 0; });
+        [&live](const Instr* instr) { return live[instr] == 0; });
     removed += static_cast<std::size_t>(std::distance(new_end, instrs.end()));
     instrs.erase(new_end, instrs.end());
   }
   return removed;
+}
+
+std::size_t Function::ReleaseDeadInstrs() {
+  // Held: in a block, or used by an instruction in a block.  An operand
+  // this function does not own is left alone (the verifier reports it).
+  SlotTable<std::uint8_t> held(*this);
+  for (const auto& block : blocks_) {
+    for (const Instr* instr : block->instrs) {
+      if (Owns(instr)) held[instr] = 1;
+      for (const Value& operand : instr->operands) {
+        if (operand.is_instr() && Owns(operand.def)) held[operand.def] = 1;
+      }
+    }
+  }
+  std::size_t released = 0;
+  for (auto& entry : pool_) {
+    if (entry != nullptr && held[entry.get()] == 0) {
+      entry.reset();
+      ++released;
+    }
+  }
+  return released;
 }
 
 void Function::RemoveUnreachableBlocks() {

@@ -10,8 +10,14 @@
 // Design notes:
 //  - Instructions are the only value producers; operands are either the
 //    result of another instruction or an immediate constant (`Value`).
+//  - Every instruction has a stable `slot`: its index in the owning
+//    Function's pool, assigned by Function::Create and never renumbered.
+//    Pass side tables are SlotTables (vectors indexed by slot), not hash
+//    maps keyed by Instr*.  `id` is separate: RecomputeCfg renumbers it in
+//    block order for the printer and the VHDL names.
 //  - No persistent use-lists: passes rewrite operands through
-//    ReplaceAllUses(), which is O(instructions) and keeps invariants simple.
+//    ReplaceAllUses(), one walk over all operands with a slot-indexed
+//    replacement table, which keeps invariants simple.
 //  - Every instruction carries `width`, the number of significant result
 //    bits.  Lifting produces width 32 (or 1 for comparisons); the operator
 //    size reduction pass narrows widths, which the synthesis area/delay
@@ -23,7 +29,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "support/error.hpp"
@@ -110,7 +115,8 @@ class Instr {
   std::uint32_t call_target = 0; ///< kCall: callee entry address
   std::int32_t imm = 0;          ///< kConst value
   std::uint32_t src_pc = 0;      ///< binary provenance (0 = synthesized)
-  int id = -1;                   ///< dense id assigned by Function
+  int id = -1;                   ///< block-order id, renumbered by RecomputeCfg
+  std::uint32_t slot = 0;        ///< pool index in the owning Function (stable)
 
   std::vector<Value> operands;
   Block* parent = nullptr;
@@ -160,6 +166,9 @@ class Block {
   [[nodiscard]] std::vector<Instr*> Phis() const;
 };
 
+template <typename T>
+class SlotTable;
+
 class Function {
  public:
   explicit Function(std::string name, std::uint32_t entry_pc = 0)
@@ -178,6 +187,14 @@ class Function {
     return blocks_;
   }
   [[nodiscard]] std::size_t NumInstrs() const;
+  /// Instructions ever created by this function: one past the largest slot.
+  [[nodiscard]] std::size_t NumSlots() const noexcept { return pool_.size(); }
+  /// Instructions still allocated (NumSlots() minus those released).
+  [[nodiscard]] std::size_t NumAllocated() const noexcept;
+  /// Whether `instr` was created by this function and is still allocated.
+  [[nodiscard]] bool Owns(const Instr* instr) const noexcept {
+    return instr->slot < pool_.size() && pool_[instr->slot].get() == instr;
+  }
 
   Block* CreateBlock(std::string name, std::uint32_t start_pc = 0);
   /// Allocate an instruction owned by this function (not yet in a block).
@@ -189,9 +206,11 @@ class Function {
   /// Recompute preds from terminators; renumber blocks and instructions.
   void RecomputeCfg();
 
-  /// Rewrite every operand whose definition appears in `replacements`.
-  /// Chains (a->b, b->c) are followed.  Does not erase replaced instrs.
-  void ReplaceAllUses(const std::unordered_map<const Instr*, Value>& map);
+  /// Rewrite every operand whose definition has a replacement (an entry
+  /// that is not None) in `replacements`.  Chains (a->b, b->c) are
+  /// followed; a cycle throws InternalError.  Instructions created after
+  /// the table have no entry.  Does not erase replaced instrs.
+  void ReplaceAllUses(const SlotTable<Value>& replacements);
 
   /// Remove instructions not reachable from side effects (classic DCE).
   /// Returns the number of instructions removed.
@@ -204,6 +223,10 @@ class Function {
   /// Its instructions stay allocated; surviving blocks keep their order.
   void EraseBlock(const Block* block);
 
+  /// Free every instruction that no block holds and no held instruction
+  /// uses.  Slots and NumSlots() are unchanged.  Returns the number freed.
+  std::size_t ReleaseDeadInstrs();
+
   /// Total static operation count (reporting).
   [[nodiscard]] std::size_t CountOps() const;
 
@@ -212,6 +235,39 @@ class Function {
   std::uint32_t entry_pc_ = 0;
   std::vector<std::unique_ptr<Block>> blocks_;
   std::vector<std::unique_ptr<Instr>> pool_;
+};
+
+/// A dense side table over one function's instructions, indexed by slot.
+/// Every instruction created before the table has a cell, initialised to
+/// `fill`; indexing an instruction outside the table throws InternalError.
+/// Get() reads `fill` for instructions created after the table.  Use a
+/// byte type rather than bool for sets (std::vector<bool> is bit-packed).
+template <typename T>
+class SlotTable {
+ public:
+  SlotTable() = default;
+  explicit SlotTable(const Function& function, const T& fill = T{})
+      : cells_(function.NumSlots(), fill), fill_(fill) {}
+
+  [[nodiscard]] std::size_t size() const noexcept { return cells_.size(); }
+  [[nodiscard]] bool Covers(const Instr* instr) const noexcept {
+    return instr->slot < cells_.size();
+  }
+  T& operator[](const Instr* instr) {
+    Check(Covers(instr), "SlotTable: instruction outside the table");
+    return cells_[instr->slot];
+  }
+  const T& operator[](const Instr* instr) const {
+    Check(Covers(instr), "SlotTable: instruction outside the table");
+    return cells_[instr->slot];
+  }
+  [[nodiscard]] const T& Get(const Instr* instr) const noexcept {
+    return Covers(instr) ? cells_[instr->slot] : fill_;
+  }
+
+ private:
+  std::vector<T> cells_;
+  T fill_{};
 };
 
 /// A whole decompiled program: functions plus the data image they run over.

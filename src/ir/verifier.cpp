@@ -51,7 +51,10 @@ Status Verify(const Function& function) {
 
   // Pred/succ consistency and structural checks.
   std::unordered_map<const Block*, std::vector<const Block*>> expected_preds;
-  std::unordered_set<const Instr*> all_instrs;
+  // Per slot: the instruction a block holds there (null if none), and its
+  // position in that block for same-block ordering checks.
+  SlotTable<const Instr*> held(function, nullptr);
+  SlotTable<std::size_t> position(function);
   for (const auto& block : function.blocks()) {
     if (!block->has_terminator()) {
       return Fail(function, block.get(), nullptr, "missing terminator");
@@ -62,9 +65,15 @@ Status Verify(const Function& function) {
       if (instr->parent != block.get()) {
         return Fail(function, block.get(), instr, "wrong parent");
       }
-      if (!all_instrs.insert(instr).second) {
+      if (!function.Owns(instr)) {
+        return Fail(function, block.get(), instr,
+                    "instruction not owned by function");
+      }
+      if (held[instr] != nullptr) {
         return Fail(function, block.get(), instr, "instruction appears twice");
       }
+      held[instr] = instr;
+      position[instr] = i;
       if (instr->op == Opcode::kPhi) {
         if (seen_non_phi) {
           return Fail(function, block.get(), instr, "phi after non-phi");
@@ -133,20 +142,13 @@ Status Verify(const Function& function) {
   const DominatorTree dom(function);
   std::unordered_set<const Block*> reachable(dom.ReversePostOrder().begin(),
                                              dom.ReversePostOrder().end());
-  // Map instruction -> position for same-block ordering checks.
-  std::unordered_map<const Instr*, std::size_t> position;
-  for (const auto& block : function.blocks()) {
-    for (std::size_t i = 0; i < block->instrs.size(); ++i) {
-      position[block->instrs[i]] = i;
-    }
-  }
   for (const Block* block : dom.ReversePostOrder()) {
     for (const Instr* instr : block->instrs) {
       for (std::size_t oi = 0; oi < instr->operands.size(); ++oi) {
         const Value& operand = instr->operands[oi];
         if (!operand.is_instr()) continue;
         const Instr* def = operand.def;
-        if (all_instrs.count(def) == 0) {
+        if (!function.Owns(def) || held[def] != def) {
           return Fail(function, block, instr,
                       "operand defined by instruction outside function");
         }

@@ -10,6 +10,7 @@
 
 #include "minicc/parser.hpp"
 #include "mips/assembler.hpp"
+#include "obs/obs.hpp"
 #include "support/bits.hpp"
 
 namespace b2h::minicc {
@@ -1213,6 +1214,9 @@ class FunctionCodegen {
 
 Result<CompileResult> Compile(std::string_view source,
                               const CompileOptions& options) {
+  CompileResult result;
+  // Front end and code generation; mips::Assemble spans its own step.
+  obs::ScopedSpan compile_span("minicc.compile", "minicc");
   auto parsed = Parse(source);
   if (!parsed.ok()) return parsed.status();
   Program program = std::move(parsed).take();
@@ -1274,8 +1278,8 @@ Result<CompileResult> Compile(std::string_view source,
     if (remaining > 0) out << "  .space " << remaining << "\n";
   }
 
-  CompileResult result;
   result.assembly = out.str();
+  compile_span.Close();
   auto assembled = mips::Assemble(result.assembly);
   if (!assembled.ok()) return assembled.status();
   result.binary = std::move(assembled).take();

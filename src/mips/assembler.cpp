@@ -11,6 +11,7 @@
 #include "mips/isa.hpp"
 #include "support/bits.hpp"
 #include "support/guest_memory.hpp"
+#include "obs/obs.hpp"
 
 namespace b2h::mips {
 namespace {
@@ -551,6 +552,7 @@ class Assembler {
 }  // namespace
 
 Result<SoftBinary> Assemble(std::string_view source) {
+  obs::ScopedSpan span("mips.assemble", "mips");
   Assembler assembler;
   return assembler.Run(source);
 }

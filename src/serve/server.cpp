@@ -700,15 +700,19 @@ Result<std::shared_ptr<const mips::SoftBinary>> Server::ObtainBinary(
   if (!compile) {
     return Status::Error(ErrorKind::kResource, key + " is not built yet");
   }
-  const suite::Benchmark* bench = suite::FindBenchmark(benchmark);
-  if (bench == nullptr) {
-    return Status::Error(ErrorKind::kUnsupported,
-                         "unknown benchmark: " + benchmark);
+  std::shared_ptr<const mips::SoftBinary> binary;
+  {
+    obs::ScopedSpan span("serve.build_binary", "serve");
+    span.Arg("binary", key);
+    const suite::Benchmark* bench = suite::FindBenchmark(benchmark);
+    if (bench == nullptr) {
+      return Status::Error(ErrorKind::kUnsupported,
+                           "unknown benchmark: " + benchmark);
+    }
+    Result<mips::SoftBinary> built = suite::BuildBinary(*bench, opt_level);
+    if (!built.ok()) return built.status();
+    binary = std::make_shared<const mips::SoftBinary>(std::move(built).take());
   }
-  Result<mips::SoftBinary> built = suite::BuildBinary(*bench, opt_level);
-  if (!built.ok()) return built.status();
-  auto binary = std::make_shared<const mips::SoftBinary>(
-      std::move(built).take());
   const std::lock_guard<std::mutex> lock(binaries_mutex_);
   // First insert wins so concurrent compiles of one benchmark stay
   // deterministic (identical content either way).

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <sstream>
-#include <unordered_map>
 
 namespace b2h::synth {
 namespace {
@@ -79,8 +78,11 @@ AreaReport EstimateArea(const HwRegion& region,
   std::vector<Lifetime> lifetimes;
   std::set<const ir::Instr*> live_out(region.live_outs.begin(),
                                       region.live_outs.end());
+  // Last step that reads each value, -1 if none.  Each block writes only
+  // its own instructions, so one table serves the region.
+  Check(region.function != nullptr, "EstimateArea: region has no function");
+  ir::SlotTable<int> last_use(*region.function, -1);
   for (const auto& bs : schedule.blocks) {
-    std::unordered_map<const ir::Instr*, int> last_use;
     for (const ir::Instr* instr : bs.block->instrs) {
       if (!IsBodyOp(instr)) continue;
       const int step = bs.step_of.at(instr);
@@ -98,7 +100,7 @@ AreaReport EstimateArea(const HwRegion& region,
       }
       if (!IsBodyOp(instr) || instr->width == 0) continue;
       const int def_step = bs.step_of.at(instr);
-      int end = last_use.count(instr) != 0 ? last_use[instr] : def_step;
+      int end = last_use[instr] >= 0 ? last_use[instr] : def_step;
       if (live_out.count(instr) != 0 ||
           [&] {  // used by the terminator or another block
             for (const ir::Block* other : region.blocks) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 
 namespace b2h::synth {
 namespace {
@@ -19,10 +18,8 @@ bool IsBodyOp(const ir::Instr* instr) {
 
 /// Dependence edges within a block: data (SSA operands defined in the same
 /// block) and memory program-order edges, relaxed by alias information.
-struct BlockDeps {
-  // For each instr: list of (producer, is_data) it must wait for.
-  std::unordered_map<const ir::Instr*, std::vector<const ir::Instr*>> preds;
-};
+/// Entry i lists the producers the block's i-th body op must wait for.
+using BlockDeps = std::vector<std::vector<const ir::Instr*>>;
 
 BlockDeps ComputeDeps(const ir::Block* block,
                       const decomp::AliasAnalysis* alias) {
@@ -30,7 +27,7 @@ BlockDeps ComputeDeps(const ir::Block* block,
   std::vector<const ir::Instr*> mem_ops;
   for (const ir::Instr* instr : block->instrs) {
     if (!IsBodyOp(instr)) continue;
-    auto& list = deps.preds[instr];
+    auto& list = deps.emplace_back();
     for (const ir::Value& operand : instr->operands) {
       if (operand.is_instr() && operand.def->parent == block &&
           IsBodyOp(operand.def)) {
@@ -66,29 +63,29 @@ RegionSchedule ScheduleRegion(const HwRegion& region,
                               const ResourceLibrary& lib,
                               const ScheduleOptions& options) {
   RegionSchedule schedule;
+  Check(region.function != nullptr, "ScheduleRegion: region has no function");
+  const ir::Function& function = *region.function;
+  // Per instr: accumulated chained delay within its step.  Each block
+  // writes only its own instructions, so one table serves the region.
+  ir::SlotTable<double> slack_delay(function);
 
   for (const ir::Block* block : region.blocks) {
     BlockSchedule bs;
     bs.block = block;
     const BlockDeps deps = ComputeDeps(block, alias);
     std::vector<StepUsage> usage;
-    // Per-instr: completion step (first step a consumer may read the value
-    // in a *later* step) and chained-delay bookkeeping.
-    std::unordered_map<const ir::Instr*, int> ready_step;
-    std::unordered_map<const ir::Instr*, double> slack_delay;  // within step
-    std::unordered_map<const ir::Instr*, int> chain_counter_per_step;
     std::map<int, int> chain_next;
 
+    std::size_t body_index = 0;
     for (const ir::Instr* instr : block->instrs) {
       if (!IsBodyOp(instr)) continue;
       const FuClass cls = ClassifyOp(*instr);
       const double delay = lib.OpDelayNs(*instr);
-      const unsigned latency = lib.OpLatencyCycles(*instr);
 
       // Earliest step from dependences, with chaining.
       int step = 0;
       double chain_in = 0.0;  // accumulated delay feeding this op
-      for (const ir::Instr* producer : deps.preds.at(instr)) {
+      for (const ir::Instr* producer : deps[body_index++]) {
         const int p_step = bs.step_of.at(producer);
         const unsigned p_latency = lib.OpLatencyCycles(*producer);
         int earliest;
@@ -97,7 +94,7 @@ RegionSchedule ScheduleRegion(const HwRegion& region,
           earliest = p_step + static_cast<int>(p_latency);
         } else if (options.enable_chaining) {
           earliest = p_step;  // may chain in the same step
-          producer_out = slack_delay.at(producer);
+          producer_out = slack_delay[producer];
         } else {
           earliest = p_step + 1;
         }
@@ -148,7 +145,6 @@ RegionSchedule ScheduleRegion(const HwRegion& region,
 
       bs.step_of[instr] = step;
       bs.chain_pos[instr] = chain_next[step]++;
-      ready_step[instr] = step + std::max(1u, latency);
       const double total_delay = chain_in + delay;
       slack_delay[instr] = total_delay;
       bs.max_step_delay_ns = std::max(bs.max_step_delay_ns, total_delay);
@@ -205,19 +201,18 @@ RegionSchedule ScheduleRegion(const HwRegion& region,
         }
         return 0;
       }();
+      // Longest path (in ns + whole-cycle latencies) from each phi to its
+      // latch operand over in-block dependences; -1 = not reached.
+      ir::SlotTable<double> dist(function, -1.0);
       for (const ir::Instr* phi : body->Phis()) {
-        // Longest path (in ns + whole-cycle latencies) from this phi to the
-        // latch operand over in-block dependences.
-        std::unordered_map<const ir::Instr*, double> dist;  // in ns
+        for (const ir::Instr* instr : body->instrs) dist[instr] = -1.0;
         dist[phi] = 0.0;
         double worst_ns = 0.0;
         for (const ir::Instr* instr : body->instrs) {
           if (!IsBodyOp(instr)) continue;
           double best = -1.0;
           for (const ir::Value& operand : instr->operands) {
-            if (!operand.is_instr()) continue;
-            const auto it = dist.find(operand.def);
-            if (it != dist.end()) best = std::max(best, it->second);
+            if (operand.is_instr()) best = std::max(best, dist[operand.def]);
           }
           if (best < 0.0) continue;  // not reachable from phi
           const double op_cost =
@@ -229,10 +224,7 @@ RegionSchedule ScheduleRegion(const HwRegion& region,
         const ir::Value latch = phi->operands.size() > latch_index
                                     ? phi->operands[latch_index]
                                     : ir::Value::None();
-        if (latch.is_instr()) {
-          const auto it = dist.find(latch.def);
-          if (it != dist.end()) worst_ns = std::max(worst_ns, it->second);
-        }
+        if (latch.is_instr()) worst_ns = std::max(worst_ns, dist[latch.def]);
         const unsigned rec_ii = std::max(
             1u, static_cast<unsigned>(std::ceil(worst_ns / options.clock_ns)));
         ii = std::max(ii, rec_ii);

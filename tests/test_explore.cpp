@@ -19,6 +19,8 @@
 #include <sstream>
 #include <vector>
 
+#include "ir/interp.hpp"
+#include "ir/verifier.hpp"
 #include "partition/candidates.hpp"
 #include "partition/strategy.hpp"
 #include "suite/runner.hpp"
@@ -616,6 +618,59 @@ TEST(Strategy, KnapsackMatchesExhaustiveSearchOnFir) {
   const auto estimate =
       partition::EstimatePartition(result.value(), platform);
   EXPECT_NEAR(estimate.speedup, best, 1e-9);
+}
+
+// Once the pass pipeline ends it frees every instruction no block holds.
+// A program fresh from ProfileAndDecompile must still verify, interpret,
+// partition and synthesize; CI's sanitizer job runs this under ASan.
+TEST(ProfileAndDecompile, ReleasedProgramsStayUsable) {
+  const partition::Platform platform;
+  const auto pipeline = decomp::PassManager::FromSpec("default");
+  ASSERT_TRUE(pipeline.ok());
+  for (const auto& [name, level] :
+       {std::pair{"adpcm_enc", 3}, {"jpeg_dct", 3}, {"fir", 1}, {"crc", 0}}) {
+    SCOPED_TRACE(std::string(name) + "@O" + std::to_string(level));
+    const suite::Benchmark* bench = suite::FindBenchmark(name);
+    ASSERT_NE(bench, nullptr);
+    auto built = suite::BuildBinary(*bench, level);
+    ASSERT_TRUE(built.ok()) << built.status().message();
+    const auto binary =
+        std::make_shared<const mips::SoftBinary>(std::move(built).take());
+    explore::DecompileWork work;
+    const explore::DecompileArtifact artifact = explore::ProfileAndDecompile(
+        binary, platform.cpu.cycle_model, 200'000'000, pipeline.value(), work);
+    ASSERT_TRUE(artifact.status.ok()) << artifact.status.message();
+    const decomp::DecompiledProgram& program = *artifact.program;
+
+    std::size_t slots = 0;
+    std::size_t allocated = 0;
+    std::size_t held = 0;
+    for (const auto& function : program.module.functions) {
+      slots += function->NumSlots();
+      allocated += function->NumAllocated();
+      held += function->NumInstrs();
+    }
+    EXPECT_EQ(allocated, held) << "dead instructions were not released";
+    EXPECT_LT(allocated, slots);
+    EXPECT_TRUE(ir::Verify(program.module).ok());
+
+    ir::Interpreter interp(program.module, binary->data);
+    const auto result = interp.Run();
+    ASSERT_TRUE(result.ok) << result.error;
+    EXPECT_EQ(result.return_value, bench->reference());
+
+    const auto strategy =
+        partition::StrategyRegistry::Global().Create("paper-greedy");
+    const auto partitioned =
+        strategy->Partition(program, artifact.software_run->profile, platform,
+                            partition::PartitionOptions{}, {});
+    ASSERT_TRUE(partitioned.ok()) << partitioned.status().message();
+    ASSERT_FALSE(partitioned.value().hw.empty());
+    for (const auto& hw : partitioned.value().hw) {
+      EXPECT_FALSE(hw.synthesized.vhdl.empty());
+      EXPECT_GT(hw.synthesized.area.total_gates, 0u);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

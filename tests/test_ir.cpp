@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "decomp/passes.hpp"
 #include "ir/dominators.hpp"
 #include "ir/interp.hpp"
 #include "ir/loops.hpp"
@@ -104,7 +107,7 @@ TEST(IrCore, RemoveDeadInstrs) {
 TEST(IrCore, ReplaceAllUsesFollowsChains) {
   Diamond d;
   // input -> const 9, and anything using the phi -> const 1 (chained maps).
-  std::unordered_map<const Instr*, Value> map;
+  SlotTable<Value> map(d.function);
   map[d.input] = Value::Const(9);
   d.function.ReplaceAllUses(map);
   bool any_input_use = false;
@@ -118,6 +121,187 @@ TEST(IrCore, ReplaceAllUsesFollowsChains) {
     }
   }
   EXPECT_FALSE(any_input_use);
+
+  // A two-hop chain: phi -> left arm's add -> const 7.
+  Diamond chained;
+  Instr* doubled = chained.left->instrs.front();
+  ASSERT_EQ(doubled->op, Opcode::kAdd);
+  SlotTable<Value> chain(chained.function);
+  chain[chained.phi] = Value::Of(doubled);
+  chain[doubled] = Value::Const(7);
+  chained.function.ReplaceAllUses(chain);
+  EXPECT_EQ(chained.merge->terminator()->operand(0), Value::Const(7));
+  for (const Value& operand : chained.phi->operands) {
+    EXPECT_FALSE(operand.is_instr() && operand.def == doubled);
+  }
+}
+
+TEST(IrCore, ReplaceAllUsesRejectsCycles) {
+  Diamond d;
+  Instr* doubled = d.left->instrs.front();
+  Instr* negated = d.right->instrs.front();
+  SlotTable<Value> map(d.function);
+  map[doubled] = Value::Of(negated);
+  map[negated] = Value::Of(doubled);
+  EXPECT_THROW(d.function.ReplaceAllUses(map), InternalError);
+}
+
+TEST(IrSlots, CreateHandsOutDenseSlots) {
+  Function function("slots");
+  std::vector<Instr*> created;
+  for (int i = 0; i < 5; ++i) created.push_back(function.Create(Opcode::kUndef));
+  ASSERT_EQ(function.NumSlots(), 5u);
+  for (std::size_t i = 0; i < created.size(); ++i) {
+    EXPECT_EQ(created[i]->slot, i);
+    EXPECT_TRUE(function.Owns(created[i]));
+  }
+  SlotTable<int> table(function, -1);
+  EXPECT_EQ(table.size(), 5u);
+  table[created[3]] = 3;
+  EXPECT_EQ(table[created[3]], 3);
+  EXPECT_EQ(table[created[0]], -1);
+  // Instructions created after the table are outside it.
+  Instr* late = function.Create(Opcode::kUndef);
+  EXPECT_EQ(late->slot, 5u);
+  EXPECT_FALSE(table.Covers(late));
+  EXPECT_EQ(table.Get(late), -1);
+  EXPECT_THROW(table[late] = 1, InternalError);
+}
+
+/// Slot of every instruction the function's blocks hold.
+std::vector<std::pair<const Instr*, std::uint32_t>> HeldSlots(
+    const Function& function) {
+  std::vector<std::pair<const Instr*, std::uint32_t>> out;
+  for (const auto& block : function.blocks()) {
+    for (const Instr* instr : block->instrs) out.emplace_back(instr, instr->slot);
+  }
+  return out;
+}
+
+void ExpectSlotsKept(
+    const Function& function, std::size_t num_slots,
+    const std::vector<std::pair<const Instr*, std::uint32_t>>& before) {
+  EXPECT_EQ(function.NumSlots(), num_slots);
+  for (const auto& [instr, slot] : HeldSlots(function)) {
+    const auto it = std::find_if(before.begin(), before.end(),
+                                 [&](const auto& e) { return e.first == instr; });
+    ASSERT_NE(it, before.end());
+    EXPECT_EQ(slot, it->second);
+  }
+}
+
+TEST(IrSlots, CfgEditsNeverRenumberSlots) {
+  Diamond d;
+  Instr* dead = d.function.Emit(d.entry, Opcode::kAdd,
+                                {Value::Of(d.input), Value::Const(7)});
+  Block* orphan = d.function.CreateBlock("orphan", 0x140);
+  Instr* orphan_ret = d.function.Create(Opcode::kRet);
+  orphan->Append(orphan_ret);
+  const std::size_t num_slots = d.function.NumSlots();
+  const auto before = HeldSlots(d.function);
+
+  d.function.RecomputeCfg();
+  ExpectSlotsKept(d.function, num_slots, before);
+  const int phi_id = d.phi->id;
+
+  EXPECT_EQ(d.function.RemoveDeadInstrs(), 1u);
+  d.function.RecomputeCfg();
+  ExpectSlotsKept(d.function, num_slots, before);
+  EXPECT_EQ(dead->slot, 9u);  // the diamond holds slots 0..8
+  // ids are block-order positions and move; slots do not.
+  EXPECT_EQ(d.phi->id, phi_id - 1);
+
+  d.function.EraseBlock(orphan);
+  ExpectSlotsKept(d.function, num_slots, before);
+
+  Instr* term = d.entry->terminator();
+  term->op = Opcode::kBr;
+  term->operands.clear();
+  term->target0 = d.left;
+  term->target1 = nullptr;
+  term->width = 0;
+  d.function.RemoveUnreachableBlocks();
+  ExpectSlotsKept(d.function, num_slots, before);
+  EXPECT_TRUE(Verify(d.function).ok());
+}
+
+TEST(IrSlots, ReleaseDeadInstrsKeepsSlotsAndHeldInstrs) {
+  Diamond d;
+  Instr* dead = d.function.Emit(d.entry, Opcode::kAdd,
+                                {Value::Of(d.input), Value::Const(7)});
+  d.function.RecomputeCfg();
+  ASSERT_EQ(d.function.RemoveDeadInstrs(), 1u);
+  const std::size_t num_slots = d.function.NumSlots();
+  const auto before = HeldSlots(d.function);
+  EXPECT_TRUE(d.function.Owns(dead));
+  EXPECT_EQ(d.function.ReleaseDeadInstrs(), 1u);
+  EXPECT_EQ(d.function.ReleaseDeadInstrs(), 0u);
+  ExpectSlotsKept(d.function, num_slots, before);
+  EXPECT_TRUE(Verify(d.function).ok());
+  // A later Create still appends a fresh slot.
+  EXPECT_EQ(d.function.Create(Opcode::kUndef)->slot, num_slots);
+}
+
+TEST(IrSlots, InlinedClonesGetFreshCallerSlots) {
+  // callee(a0) = a0 + 5; main() = callee(3).
+  Module module;
+  auto callee = std::make_unique<Function>("add5", 0x200);
+  Block* cb = callee->CreateBlock("entry", 0x200);
+  Instr* arg = callee->Create(Opcode::kInput);
+  arg->input_index = 4;
+  cb->Append(arg);
+  Instr* sum = callee->Emit(cb, Opcode::kAdd, {Value::Of(arg), Value::Const(5)});
+  Instr* cret = callee->Create(Opcode::kRet);
+  cret->operands = {Value::Of(sum)};
+  cb->Append(cret);
+  callee->RecomputeCfg();
+
+  auto caller = std::make_unique<Function>("main", 0x100);
+  Block* entry = caller->CreateBlock("entry", 0x100);
+  Instr* call = caller->Create(Opcode::kCall);
+  call->call_target = 0x200;
+  call->operands = {Value::Const(3), Value::Const(0), Value::Const(0),
+                    Value::Const(0), Value::Const(0)};
+  entry->Append(call);
+  Instr* ret = caller->Create(Opcode::kRet);
+  ret->operands = {Value::Of(call)};
+  entry->Append(ret);
+  caller->RecomputeCfg();
+  const std::size_t caller_slots = caller->NumSlots();
+
+  Function* main_fn = caller.get();
+  module.main = main_fn;
+  module.functions.push_back(std::move(caller));
+  module.functions.push_back(std::move(callee));
+  ASSERT_EQ(decomp::InlineSmallFunctions(module).calls_inlined, 1u);
+
+  EXPECT_GT(main_fn->NumSlots(), caller_slots);
+  std::vector<std::uint32_t> seen;
+  bool found_clone = false;
+  for (const auto& block : main_fn->blocks()) {
+    for (const Instr* instr : block->instrs) {
+      EXPECT_TRUE(main_fn->Owns(instr));
+      EXPECT_EQ(std::count(seen.begin(), seen.end(), instr->slot), 0);
+      seen.push_back(instr->slot);
+      if (instr->op == Opcode::kAdd) {
+        found_clone = true;
+        EXPECT_GE(instr->slot, caller_slots);
+      }
+    }
+  }
+  EXPECT_TRUE(found_clone);
+  EXPECT_TRUE(Verify(*main_fn).ok()) << Verify(*main_fn).message();
+}
+
+TEST(Verifier, CatchesForeignInstruction) {
+  Diamond d;
+  Function other("other");
+  Instr* foreign = other.Create(Opcode::kUndef);
+  d.entry->instrs.insert(d.entry->instrs.begin(), foreign);
+  foreign->parent = d.entry;
+  const Status status = Verify(d.function);
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("not owned"), std::string::npos);
 }
 
 TEST(IrCore, RemoveUnreachableBlocksFixesPhis) {
