@@ -40,9 +40,9 @@ Totals Measure(const std::vector<NamedBinary>& binaries,
   Totals totals;
   Toolchain toolchain;
   toolchain.WithPipeline(variant.pipeline);
-  const BatchResult batch =
-      toolchain.RunMany(binaries, {"mips200-xc2v1000"});
-  for (const auto& run : batch.runs) {
+  for (const NamedBinary& named : binaries) {
+    const auto run =
+        toolchain.RunOn("mips200-xc2v1000", named.binary, named.name);
     if (!run.ok()) continue;
     double hw_time = 0.0;
     for (const auto& kernel : run.value().estimate.kernels) {

@@ -11,11 +11,10 @@
 //
 // Four benchmarks x {O0..O3}: software time, partitioned time, speedup, and
 // energy savings per level, plus the trend checks the paper argues from.
-// Each -O level is a distinct binary, so the batch is 16 binaries x 1
-// platform through Toolchain::RunMany.
+// Each -O level is a distinct binary, run once through Toolchain::RunOn.
 #include <cstdio>
 #include <memory>
-#include <vector>
+#include <string>
 
 #include "bench_json.hpp"
 #include "suite/runner.hpp"
@@ -29,32 +28,7 @@ int main() {
   printf("=== E3: four benchmarks at gcc -O0..-O3 (MIPS@200MHz) ===\n\n");
   const char* names[] = {"fir", "brev", "autcor00", "adpcm_dec"};
 
-  // One named binary per (benchmark, level); RunMany fans them out.
-  std::vector<NamedBinary> binaries;
-  for (const char* name : names) {
-    const suite::Benchmark* bench = suite::FindBenchmark(name);
-    if (bench == nullptr) continue;
-    for (int level = 0; level <= 3; ++level) {
-      auto binary = suite::BuildBinary(*bench, level);
-      if (!binary.ok()) continue;
-      binaries.push_back(
-          {std::string(name) + "@O" + std::to_string(level),
-           std::make_shared<const mips::SoftBinary>(std::move(binary).take())});
-    }
-  }
-
-  Toolchain toolchain;
-  const BatchResult batch =
-      toolchain.RunMany(binaries, {"mips200-xc2v1000"});
-
-  // Runs come back in submission order: look each one up by its name.
-  auto find_run = [&](const std::string& wanted) -> const Result<ToolchainRun>* {
-    for (std::size_t i = 0; i < binaries.size(); ++i) {
-      if (binaries[i].name == wanted) return &batch.runs[i];
-    }
-    return nullptr;
-  };
-
+  const Toolchain toolchain;
   for (const char* name : names) {
     const suite::Benchmark* bench = suite::FindBenchmark(name);
     if (bench == nullptr) continue;
@@ -63,10 +37,14 @@ int main() {
            "speedup", "energy%", "rerolled", "stackops");
     double sw_prev = 0.0;
     for (int level = 0; level <= 3; ++level) {
-      const auto* found =
-          find_run(std::string(name) + "@O" + std::to_string(level));
-      if (found == nullptr) continue;
-      const auto& run = *found;
+      auto binary = suite::BuildBinary(*bench, level);
+      if (!binary.ok()) continue;
+      const std::string label =
+          std::string(name) + "@O" + std::to_string(level);
+      const auto run = toolchain.RunOn(
+          "mips200-xc2v1000",
+          std::make_shared<const mips::SoftBinary>(std::move(binary).take()),
+          label);
       if (!run.ok()) {
         printf("  -O%d  flow failed: %s\n", level,
                run.status().message().c_str());
@@ -74,8 +52,7 @@ int main() {
       }
       const auto& est = run.value().estimate;
       const auto& stats = run.value().program->stats;
-      json.Record("speedup", est.speedup, "x",
-                  std::string(name) + "@O" + std::to_string(level));
+      json.Record("speedup", est.speedup, "x", label);
       printf("  -O%d  %10.3f %10.3f %9.1f %9.0f %9zu %8zu%s\n", level,
              est.sw_time * 1e3, est.partitioned_time * 1e3, est.speedup,
              est.energy_savings * 100.0, stats.loops_rerolled,

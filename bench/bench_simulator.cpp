@@ -21,7 +21,7 @@
 //                               first conditional branch (the pre-multi-exit
 //                               engine's block shape, for the E9 comparison)
 //   blockcache_*                shared pre-decode cache counters for a warm
-//                               RunMany-shaped sweep over the whole suite
+//                               sweep over the whole suite
 //
 // The speedups are ratios of two measurements taken on the same host
 // seconds apart, so unlike the raw rates they are comparable across CI
@@ -327,9 +327,9 @@ int main() {
               avg_reference, avg_translated_speedup, avg_speedup,
               avg_switch_speedup);
 
-  // Warm RunMany-shaped sweep: every measured binary's pre-decode is
-  // resident by now, so constructing and running a fresh Simulator per
-  // benchmark must hit the shared cache every time and never re-decode.
+  // Warm sweep: every measured binary's pre-decode is resident by now, so
+  // constructing and running a fresh Simulator per benchmark must hit the
+  // shared cache every time and never re-decode.
   const mips::SharedBlockCache::Stats warm_before =
       mips::SharedBlockCache::Global().stats();
   for (const auto& [name, binary] : measured) {

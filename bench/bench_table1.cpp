@@ -7,9 +7,9 @@
 //    ... The only unsuccessful situations occurred during CDFG recovery,
 //    which failed for two EEMBC examples because of indirect jumps."
 //
-// This harness compiles every benchmark at -O1 (as the paper does), batches
-// them through Toolchain::RunMany on the 200 MHz platform, and prints one
-// row per benchmark plus the averages to compare against the paper.
+// This harness compiles every benchmark at -O1 (as the paper does), runs
+// each through Toolchain::RunOn on the 200 MHz platform, and prints one row
+// per benchmark plus the averages to compare against the paper.
 #include <cstdio>
 #include <memory>
 #include <vector>
@@ -43,8 +43,7 @@ int main() {
     built.push_back(&bench);
   }
 
-  Toolchain toolchain;
-  const BatchResult batch = toolchain.RunMany(binaries, {"mips200-xc2v1000"});
+  const Toolchain toolchain;
 
   double sum_speedup = 0.0;
   double sum_kernel = 0.0;
@@ -53,8 +52,9 @@ int main() {
   int successes = 0;
   int failures = 0;
 
-  for (std::size_t i = 0; i < batch.runs.size(); ++i) {
-    const auto& run = batch.runs[i];
+  for (std::size_t i = 0; i < binaries.size(); ++i) {
+    const auto run = toolchain.RunOn("mips200-xc2v1000", binaries[i].binary,
+                                     binaries[i].name);
     const suite::Benchmark& bench = *built[i];
     if (!run.ok()) {
       printf("%-11s %-11s CDFG recovery failed (%s)\n", bench.name.c_str(),

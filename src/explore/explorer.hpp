@@ -4,10 +4,10 @@
 // emit every point plus the multi-objective Pareto frontier (speedup vs.
 // energy vs. FPGA area).
 //
-// Layering: the Explorer is built from the same pieces as the Toolchain
-// batch API (pass manager, platform registry, thread-pool fan-out) plus the
-// strategy registry and the content-addressed ArtifactCache.  The Toolchain
-// facade front-doors it as Toolchain::Explore(ExploreSpec).
+// Layering: the Explorer is built from the pass manager, the platform and
+// strategy registries, a thread-pool fan-out and the content-addressed
+// ArtifactCache; it is the only code that fans a sweep out over binaries.
+// The Toolchain facade front-doors it as Toolchain::Explore(ExploreSpec).
 //
 // Determinism contract (asserted by tests): Report() is bit-identical
 // across thread counts and across cache-cold vs. cache-warm runs; work and
@@ -34,8 +34,7 @@
 
 namespace b2h {
 
-/// A named binary handed to the batch APIs (Toolchain::RunMany and the
-/// exploration engine).
+/// A named binary handed to a sweep (ExploreSpec::binaries).
 struct NamedBinary {
   std::string name;
   std::shared_ptr<const mips::SoftBinary> binary;

@@ -3,9 +3,9 @@
 // Pre-decoding a program (Decode() every text word, build the BlockCache
 // trace/side-exit tables) depends only on the text bytes and the cycle
 // model — never on the Simulator instance.  Before this cache, every
-// Simulator construction redid it: a RunMany sweep over P platforms sharing
-// one cycle model rebuilt the same tables P times, bench_simulator rebuilt
-// them per engine, and every warm b2h-serve request paid it again.
+// Simulator construction redid it: P Toolchain::RunOn calls over platforms
+// sharing one cycle model rebuilt the same tables P times, bench_simulator
+// rebuilt them per engine, and every warm b2h-serve request paid it again.
 //
 // SharedBlockCache mirrors the explore ArtifactCache discipline:
 //

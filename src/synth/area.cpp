@@ -76,11 +76,24 @@ AreaReport EstimateArea(const HwRegion& region,
     unsigned width = 32;
   };
   std::vector<Lifetime> lifetimes;
-  std::set<const ir::Instr*> live_out(region.live_outs.begin(),
-                                      region.live_outs.end());
+  Check(region.function != nullptr, "EstimateArea: region has no function");
+  // Values that live to the end of their block: the region's live-outs,
+  // and values read by another region block or by a non-body op (phi,
+  // terminator) of their own block.
+  ir::SlotTable<std::uint8_t> held_to_end(*region.function);
+  for (const ir::Instr* instr : region.live_outs) held_to_end[instr] = 1;
+  for (const ir::Block* block : region.blocks) {
+    for (const ir::Instr* user : block->instrs) {
+      for (const ir::Value& operand : user->operands) {
+        if (operand.is_instr() &&
+            (operand.def->parent != block || !IsBodyOp(user))) {
+          held_to_end[operand.def] = 1;
+        }
+      }
+    }
+  }
   // Last step that reads each value, -1 if none.  Each block writes only
   // its own instructions, so one table serves the region.
-  Check(region.function != nullptr, "EstimateArea: region has no function");
   ir::SlotTable<int> last_use(*region.function, -1);
   for (const auto& bs : schedule.blocks) {
     for (const ir::Instr* instr : bs.block->instrs) {
@@ -101,20 +114,7 @@ AreaReport EstimateArea(const HwRegion& region,
       if (!IsBodyOp(instr) || instr->width == 0) continue;
       const int def_step = bs.step_of.at(instr);
       int end = last_use[instr] >= 0 ? last_use[instr] : def_step;
-      if (live_out.count(instr) != 0 ||
-          [&] {  // used by the terminator or another block
-            for (const ir::Block* other : region.blocks) {
-              for (const ir::Instr* user : other->instrs) {
-                if (other == bs.block && IsBodyOp(user)) continue;
-                for (const ir::Value& operand : user->operands) {
-                  if (operand.is_instr() && operand.def == instr) return true;
-                }
-              }
-            }
-            return false;
-          }()) {
-        end = bs.num_steps;
-      }
+      if (held_to_end[instr] != 0) end = bs.num_steps;
       if (end > def_step) {
         lifetimes.push_back({def_step + 1, end, instr->width});
       }

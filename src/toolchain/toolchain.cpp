@@ -5,21 +5,8 @@
 
 #include "obs/obs.hpp"
 #include "partition/strategy.hpp"
-#include "support/parallel_for.hpp"
 
 namespace b2h {
-
-namespace {
-
-using support::ParallelFor;
-
-bool SameCycleModel(const mips::CycleModel& a, const mips::CycleModel& b) {
-  return a.base == b.base && a.load_extra == b.load_extra &&
-         a.mult_extra == b.mult_extra && a.div_extra == b.div_extra &&
-         a.taken_extra == b.taken_extra;
-}
-
-}  // namespace
 
 // ---------------------------------------------------------- ToolchainRun
 
@@ -182,11 +169,6 @@ Toolchain& Toolchain::WithDynamicPolicy(partition::DynamicPolicy policy) {
   return *this;
 }
 
-Toolchain& Toolchain::WithDynamic(bool enabled) {
-  dynamic_enabled_ = enabled;
-  return *this;
-}
-
 Toolchain& Toolchain::WithArtifactCache(
     std::shared_ptr<explore::ArtifactCache> cache) {
   Check(cache != nullptr, "Toolchain: null artifact cache");
@@ -287,12 +269,12 @@ Result<DynamicToolchainRun> Toolchain::RunDynamicOnPlatform(
 
   dynamic::DynamicPartitioner online(platform, DynamicConfig(),
                                      platform_name);
-  auto dynamic_run = online.Run(std::move(binary), std::move(binary_name));
-  if (!dynamic_run.ok()) return dynamic_run.status();
+  auto online_run = online.Run(std::move(binary), std::move(binary_name));
+  if (!online_run.ok()) return online_run.status();
 
   DynamicToolchainRun run;
   run.static_run = std::move(static_run).take();
-  run.dynamic_run = std::move(dynamic_run).take();
+  run.dynamic_run = std::move(online_run).take();
   run.convergence = run.static_run.estimate.speedup > 0.0
                         ? run.dynamic_run.estimate.speedup /
                               run.static_run.estimate.speedup
@@ -334,136 +316,6 @@ std::string DynamicToolchainRun::Report() const {
                 static_run.estimate.speedup, convergence * 100.0);
   out << line;
   return out.str();
-}
-
-BatchResult Toolchain::RunMany(
-    const std::vector<NamedBinary>& binaries,
-    const std::vector<std::string>& platform_names) const {
-  const std::size_t num_binaries = binaries.size();
-  const std::size_t num_platforms = platform_names.size();
-  const std::size_t num_runs = num_binaries * num_platforms;
-
-  BatchResult batch;
-  batch.num_platforms = num_platforms;
-  if (num_runs == 0) return batch;
-
-  // Resolve platform names up front (registry lookups off the hot path).
-  std::vector<std::optional<partition::Platform>> platforms;
-  platforms.reserve(num_platforms);
-  for (const std::string& name : platform_names) {
-    platforms.push_back(PlatformRegistry::Global().Find(name));
-  }
-
-  // Stage A — per (binary, cycle model), in parallel: one profiling
-  // simulation and ONE decompilation, shared by every platform whose CPU
-  // cycle model matches.  Clock frequency and FPGA capacity don't affect
-  // cycle counts, so all registered platforms fall into a single group;
-  // custom platforms with a different cycle model get their own profile
-  // rather than silently inheriting another platform's cycle counts.
-  std::vector<mips::CycleModel> model_groups;
-  std::vector<std::size_t> platform_group(num_platforms, 0);
-  for (std::size_t p = 0; p < num_platforms; ++p) {
-    if (!platforms[p].has_value()) continue;
-    const mips::CycleModel& model = platforms[p]->cpu.cycle_model;
-    std::size_t group = model_groups.size();
-    for (std::size_t g = 0; g < model_groups.size(); ++g) {
-      if (SameCycleModel(model_groups[g], model)) {
-        group = g;
-        break;
-      }
-    }
-    if (group == model_groups.size()) model_groups.push_back(model);
-    platform_group[p] = group;
-  }
-  // No resolved platform means no group and so no Stage A job: every slot
-  // reports its unknown platform without profiling anything.
-  const std::size_t num_groups = model_groups.size();
-
-  // prepared[b * num_groups + g]: binary b profiled under model group g.
-  std::vector<explore::DecompileArtifact> prepared(num_binaries * num_groups);
-  explore::DecompileWork work;
-
-  auto manager = decomp::PassManager::FromSpec(pipeline_spec_);
-  if (!manager.ok()) {
-    for (std::size_t i = 0; i < num_runs; ++i) {
-      batch.runs.push_back(manager.status());
-    }
-    return batch;
-  }
-  const decomp::PassManager pipeline =
-      std::move(manager).take().SetVerify(verify_ir_);
-
-  ParallelFor(num_binaries * num_groups, threads_, [&](std::size_t index) {
-    const std::size_t b = index / num_groups;
-    const std::size_t g = index % num_groups;
-    explore::DecompileArtifact& slot = prepared[index];
-    try {
-      if (binaries[b].binary == nullptr) {
-        slot.status = Status::Error(ErrorKind::kMalformedBinary,
-                                    "null binary: " + binaries[b].name);
-        return;
-      }
-      slot = explore::ProfileAndDecompile(binaries[b].binary, model_groups[g],
-                                          max_sim_instructions_, pipeline,
-                                          work);
-    } catch (const std::exception& e) {
-      slot.status = Status::Error(ErrorKind::kUnsupported,
-                                  std::string("internal error: ") + e.what());
-    }
-  });
-
-  // Stage B — per (binary, platform) pair, in parallel: partition,
-  // synthesize, estimate against the shared decompilation.
-  std::vector<std::optional<Result<ToolchainRun>>> slots(num_runs);
-  ParallelFor(num_runs, threads_, [&](std::size_t index) {
-    const std::size_t b = index / num_platforms;
-    const std::size_t p = index % num_platforms;
-    try {
-      if (!platforms[p].has_value()) {
-        slots[index] = Status::Error(ErrorKind::kUnsupported,
-                                     "unknown platform: " + platform_names[p]);
-        return;
-      }
-      const explore::DecompileArtifact& base =
-          prepared[b * num_groups + platform_group[p]];
-      if (!base.status.ok()) {
-        slots[index] = base.status;
-        return;
-      }
-      // base.program is shared across the sweep — the point of the batch.
-      slots[index] = PartitionPrepared(binaries[b].name, platform_names[p],
-                                       binaries[b].binary, base.software_run,
-                                       base.program, *platforms[p]);
-      // Dynamic mode: also run the online partitioner for this pair.  Each
-      // pair gets its own simulator + detector, so the fan-out stays
-      // deterministic (parallel == serial).
-      if (dynamic_enabled_ && slots[index]->ok()) {
-        dynamic::DynamicPartitioner online(*platforms[p], DynamicConfig(),
-                                           platform_names[p]);
-        auto dynamic_run = online.Run(binaries[b].binary, binaries[b].name);
-        if (!dynamic_run.ok()) {
-          slots[index] = dynamic_run.status();
-        } else {
-          slots[index]->value().dynamic_run =
-              std::make_shared<const dynamic::DynamicRun>(
-                  std::move(dynamic_run).take());
-        }
-      }
-    } catch (const std::exception& e) {
-      slots[index] = Status::Error(
-          ErrorKind::kUnsupported,
-          std::string("internal error: ") + e.what());
-    }
-  });
-
-  batch.runs.reserve(num_runs);
-  for (std::size_t index = 0; index < num_runs; ++index) {
-    Check(slots[index].has_value(), "RunMany: missing result slot");
-    batch.runs.push_back(std::move(*slots[index]));
-  }
-  batch.simulations_run = work.simulations.load();
-  batch.decompilations_run = work.decompilations.load();
-  return batch;
 }
 
 }  // namespace b2h

@@ -10,18 +10,20 @@
 //     plus custom registrations) so sweeps are spelled as name lists;
 //   * builder-style configuration (pipeline spec, partition options,
 //     simulation budget, thread count) shared across every run;
-//   * a batch API, RunMany(binaries, platforms), that profiles and
-//     decompiles each binary exactly ONCE and reuses the result across the
-//     platform sweep, fanning the per-platform partition/synthesis work out
-//     on a thread pool.  Results are deterministic: parallel == serial.
+//   * single-run front doors (Run/RunOn, RunDynamic/RunDynamicOn) that
+//     return the full ToolchainRun: program, partition and estimate;
+//   * Explore(spec), the one batch path, which hands a
+//     {binaries} x {platforms} x {strategies} x {objectives} sweep to
+//     explore::Explorer.
 //
 // Caching rationale: the decompiled, profile-annotated CDFG depends only on
 // the binary and the CPU cycle model — not on clocks or FPGA capacity — so
 // one decompilation serves every platform whose cycle model matches.
-// RunMany groups the requested platforms by cycle model and profiles /
-// decompiles once per (binary, model group); the paper's three registered
-// platforms share the default model, so that is one decompilation per
-// binary.
+// Explore keys its decompile artifacts that way: the paper's three
+// registered platforms share the default model, so a sweep over them is one
+// decompilation per binary, and the toolchain's artifact cache carries the
+// result across Explore calls.  Run/RunOn profile and decompile afresh on
+// every call.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +31,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "decomp/pass_manager.hpp"
 #include "dynamic/dynamic_partitioner.hpp"
@@ -44,9 +45,9 @@ namespace b2h {
 /// with the exploration engine); the alias preserves the original spelling.
 using PlatformRegistry = partition::PlatformRegistry;
 
-/// One (binary, platform) flow outcome.  The profiling run and decompiled
-/// program are shared: every platform in a RunMany sweep points at the same
-/// objects for a given binary (asserted by the tests).
+/// One (binary, platform) flow outcome.  The binary, profiling run and
+/// decompiled program are held by shared_ptr, so the run outlives the
+/// caller's handles (asserted by the tests).
 struct ToolchainRun {
   std::string binary_name;
   std::string platform_name;
@@ -55,9 +56,6 @@ struct ToolchainRun {
   std::shared_ptr<const decomp::DecompiledProgram> program;
   partition::PartitionResult partition;
   partition::AppEstimate estimate;
-  /// Filled by RunMany when WithDynamic(true): the online (runtime)
-  /// partitioning outcome for the same (binary, platform) pair.
-  std::shared_ptr<const dynamic::DynamicRun> dynamic_run;
 
   /// Title line, ReportBody(), then the per-pass timings.
   [[nodiscard]] std::string Report() const;
@@ -81,20 +79,6 @@ struct DynamicToolchainRun {
   [[nodiscard]] std::string Report() const;
 };
 
-/// Batch outcome: one result per (binary, platform) pair in row-major
-/// order (binary index major), plus work counters the caching tests key on.
-struct BatchResult {
-  std::vector<Result<ToolchainRun>> runs;
-  std::size_t num_platforms = 0;       ///< row stride of `runs`
-  std::size_t simulations_run = 0;     ///< profiling runs executed
-  std::size_t decompilations_run = 0;  ///< decompiler invocations
-
-  [[nodiscard]] const Result<ToolchainRun>& At(
-      std::size_t binary_index, std::size_t platform_index) const {
-    return runs.at(binary_index * num_platforms + platform_index);
-  }
-};
-
 /// Builder-configured facade over the complete flow.
 class Toolchain {
  public:
@@ -108,24 +92,22 @@ class Toolchain {
 
   // ------------------------------------------------- builder configuration
   /// Decompilation pipeline spec (see PassManager::FromSpec).  Invalid
-  /// specs surface as an error from Run/RunMany, not here.
+  /// specs surface as an error from Run/Explore, not here.
   Toolchain& WithPipeline(std::string spec);
   Toolchain& WithPartitionOptions(partition::PartitionOptions options);
   Toolchain& WithMaxSimInstructions(std::uint64_t max_instructions);
-  /// Worker threads for RunMany (0 = hardware concurrency, 1 = serial).
+  /// Worker threads for Explore sweeps (0 = hardware concurrency, 1 =
+  /// serial).  Run/RunOn and the dynamic front doors are single-threaded.
   Toolchain& WithThreads(unsigned threads);
   Toolchain& WithVerifyIr(bool verify);
   /// Default platform for the platform-less Run overload.
   Toolchain& WithPlatform(std::string registered_name);
   Toolchain& WithPlatform(partition::Platform platform,
                           std::string label = "custom");
-  /// Online-partitioning configuration for RunDynamic and for RunMany in
-  /// dynamic mode.  Pipeline spec, verify flag, and simulation budget are
-  /// inherited from the toolchain configuration.
+  /// Online-partitioning configuration for RunDynamic/RunDynamicOn.
+  /// Pipeline spec, verify flag, and simulation budget are inherited from
+  /// the toolchain configuration.
   Toolchain& WithDynamicPolicy(partition::DynamicPolicy policy);
-  /// When enabled, RunMany additionally executes the online partitioner for
-  /// every (binary, platform) pair and attaches ToolchainRun::dynamic_run.
-  Toolchain& WithDynamic(bool enabled);
   /// Share an artifact cache between toolchains (by default every Toolchain
   /// owns a private cache that persists across its Explore calls).
   Toolchain& WithArtifactCache(std::shared_ptr<explore::ArtifactCache> cache);
@@ -155,7 +137,8 @@ class Toolchain {
   }
   /// Hit/miss counters of the process-wide simulator pre-decode cache
   /// (mips/shared_cache.hpp): every Simulator this toolchain constructs —
-  /// Run, RunMany, explore sweeps — shares its superblock tables through it.
+  /// Run, RunDynamic, explore sweeps — shares its superblock tables through
+  /// it.
   [[nodiscard]] static mips::SharedBlockCache::Stats BlockCacheStats() {
     return mips::SharedBlockCache::Global().stats();
   }
@@ -175,14 +158,6 @@ class Toolchain {
       std::string_view platform_name,
       std::shared_ptr<const mips::SoftBinary> binary,
       std::string binary_name = "binary") const;
-
-  /// Batch: every binary against every platform name.  Decompiles each
-  /// binary once; per-platform partitioning fans out on the thread pool.
-  /// Per-run failures (CDFG recovery, faults, unknown platform names) are
-  /// reported in the corresponding slot without aborting the batch.
-  [[nodiscard]] BatchResult RunMany(
-      const std::vector<NamedBinary>& binaries,
-      const std::vector<std::string>& platform_names) const;
 
   /// Dynamic front door: run the online partitioner on the configured
   /// default platform AND the static oracle on the same binary, reporting
@@ -235,7 +210,6 @@ class Toolchain {
   std::string default_platform_name_ = "mips200-xc2v1000";
   std::optional<partition::Platform> custom_platform_;
   partition::DynamicPolicy dynamic_policy_;
-  bool dynamic_enabled_ = false;
   std::string trace_path_;  ///< WithTrace auto-flush target ("" = none)
   std::shared_ptr<explore::ArtifactCache> artifact_cache_;
 };

@@ -679,8 +679,9 @@ TEST(SharedBlockCache, WarmSweepNeverRedecodes) {
     Simulator warmup(built.value());  // cold construction (at most one miss)
   }
   const SharedBlockCache::Stats before = SharedBlockCache::Global().stats();
-  // A platform sweep over one binary with a shared cycle model — the RunMany
-  // shape: every further Simulator must reuse the resident pre-decode.
+  // A platform sweep over one binary with a shared cycle model — one
+  // RunOn per platform: every further Simulator must reuse the resident
+  // pre-decode.
   for (int platform = 0; platform < 6; ++platform) {
     Simulator sim(built.value());
     const RunResult run = sim.Run();

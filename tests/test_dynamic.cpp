@@ -267,35 +267,6 @@ TEST(DynamicFlow, DeterministicReports) {
             second.value().dynamic_run.swaps.size());
 }
 
-TEST(DynamicFlow, RunManyDynamicParallelEqualsSerial) {
-  std::vector<NamedBinary> binaries;
-  for (const char* name : {"crc", "fir", "checksum", "brev"}) {
-    auto binary = BuildSuiteBinary(name);
-    ASSERT_NE(binary, nullptr) << name;
-    binaries.push_back({name, std::move(binary)});
-  }
-  Toolchain serial;
-  serial.WithDynamic(true).WithThreads(1);
-  Toolchain parallel;
-  parallel.WithDynamic(true).WithThreads(4);
-  const auto lhs = serial.RunMany(binaries, {"mips200-xc2v1000", "mips400"});
-  const auto rhs = parallel.RunMany(binaries, {"mips200-xc2v1000", "mips400"});
-  ASSERT_EQ(lhs.runs.size(), rhs.runs.size());
-  for (std::size_t i = 0; i < lhs.runs.size(); ++i) {
-    ASSERT_TRUE(lhs.runs[i].ok());
-    ASSERT_TRUE(rhs.runs[i].ok());
-    ASSERT_NE(lhs.runs[i].value().dynamic_run, nullptr);
-    ASSERT_NE(rhs.runs[i].value().dynamic_run, nullptr);
-    EXPECT_EQ(lhs.runs[i].value().dynamic_run->Report(),
-              rhs.runs[i].value().dynamic_run->Report());
-  }
-  // Without dynamic mode the field stays empty.
-  Toolchain plain;
-  const auto off = plain.RunMany({binaries[0]}, {"mips200-xc2v1000"});
-  ASSERT_TRUE(off.runs[0].ok());
-  EXPECT_EQ(off.runs[0].value().dynamic_run, nullptr);
-}
-
 TEST(DynamicFlow, AreaBudgetRespectedUnderEviction) {
   // A platform whose FPGA fits roughly one kernel: the online partitioner
   // must keep the live area within budget, evicting or rejecting the rest.

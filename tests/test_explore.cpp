@@ -176,6 +176,10 @@ TEST(Explore, FullSweepKnapsackDominatesGreedyAndCacheWarmRepeatIsFree) {
       EXPECT_GE(annealed.speedup, greedy.speedup - 1e-12)
           << spec.binaries[b].name << " on " << kPaperPlatforms[p];
     }
+    // The paper's clock trend: hardware time does not depend on the CPU
+    // clock, so the slow CPU gains more than the fast one.
+    EXPECT_GT(cold.At(b, 0, 0, 0).speedup, cold.At(b, 2, 0, 0).speedup)
+        << spec.binaries[b].name;
   }
 
   // Cache-warm repeat: all artifacts served from the cache, report
@@ -332,6 +336,41 @@ TEST(Explore, ParetoFrontierUnitCases) {
   EXPECT_FALSE(explore::Dominates(points[0], points[3]));
 }
 
+// Platforms with a different CPU cycle model must NOT share a profile: the
+// decompile key covers the cycle model, so a sweep decompiles once per
+// model and the slow-memory point agrees exactly with the single-run path.
+TEST(Explore, DistinctCycleModelsGetTheirOwnDecompilation) {
+  partition::Platform slow_mem = partition::Platform::WithCpuMhz(200.0);
+  slow_mem.cpu.cycle_model.load_extra = 5;
+  PlatformRegistry::Global().Register("test-slow-mem", slow_mem);
+
+  ExploreSpec spec;
+  spec.binaries = {{"fir", BuildBench("fir")}};
+  spec.platforms = {"mips200-xc2v1000", "test-slow-mem"};
+  spec.strategies = {"paper-greedy"};
+  spec.objectives = {Objective::kSpeedup};
+
+  Toolchain toolchain;
+  const ExploreResult result = toolchain.Explore(spec);
+  ASSERT_EQ(result.points.size(), 2u);
+  EXPECT_EQ(result.decompilations_run, 2u);  // one per distinct cycle model
+  const explore::ExplorePoint& point = result.At(0, 1, 0, 0);
+  ASSERT_TRUE(point.status.ok()) << point.status.message();
+
+  const auto single =
+      toolchain.RunOn("test-slow-mem", spec.binaries[0].binary, "fir");
+  ASSERT_TRUE(single.ok()) << single.status().message();
+  const partition::AppEstimate& estimate = single.value().estimate;
+  std::vector<std::string> hw_names;
+  for (const auto& region : single.value().partition.hw) {
+    hw_names.push_back(region.synthesized.region.name);
+  }
+  EXPECT_EQ(point.speedup, estimate.speedup);
+  EXPECT_EQ(point.energy_savings, estimate.energy_savings);
+  EXPECT_EQ(point.area_gates, estimate.area_gates);
+  EXPECT_EQ(point.hw_names, hw_names);
+}
+
 TEST(Explore, PerPointFailuresDoNotAbortTheSweep) {
   ExploreSpec spec;
   spec.binaries = {{"fir", BuildBench("fir")},
@@ -359,6 +398,21 @@ TEST(Explore, PerPointFailuresDoNotAbortTheSweep) {
   EXPECT_EQ(warm.decompilations_run, 0u);
   EXPECT_EQ(warm.partitions_run, 0u);
   EXPECT_EQ(result.Report(), warm.Report());
+
+  // No resolvable platform: every point fails, and nothing is profiled or
+  // decompiled for platforms no point can use.
+  ExploreSpec unresolved;
+  unresolved.binaries = {spec.binaries[0], spec.binaries[2]};
+  unresolved.platforms = {"bogus"};
+  unresolved.strategies = {"paper-greedy"};
+  const ExploreResult none = Toolchain().Explore(unresolved);
+  ASSERT_EQ(none.points.size(), 2u);
+  for (const explore::ExplorePoint& point : none.points) {
+    ASSERT_FALSE(point.status.ok());
+    EXPECT_EQ(point.status.kind(), ErrorKind::kUnsupported);
+  }
+  EXPECT_EQ(none.simulations_run, 0u);
+  EXPECT_EQ(none.decompilations_run, 0u);
 }
 
 TEST(Explore, SeedChangesOnlyInvalidateSeedSensitiveStrategies) {
@@ -855,21 +909,24 @@ TEST(ReportWriter, ReportsAreByteIdenticalToTheReferenceEncoder) {
         << point.binary_name << " on " << point.platform_name;
   }
 
-  const BatchResult batch = toolchain.RunMany(spec.binaries, kPaperPlatforms);
-  for (const Result<ToolchainRun>& run : batch.runs) {
-    ASSERT_TRUE(run.ok()) << run.status().message();
-    const ToolchainRun& value = run.value();
-    std::vector<std::string> hw_names;
-    for (const auto& region : value.partition.hw) {
-      hw_names.push_back(region.synthesized.region.name);
+  // ToolchainRun::Json() writes the same shape.
+  for (const NamedBinary& named : spec.binaries) {
+    for (const std::string& platform : kPaperPlatforms) {
+      const auto run = toolchain.RunOn(platform, named.binary, named.name);
+      ASSERT_TRUE(run.ok()) << run.status().message();
+      const ToolchainRun& value = run.value();
+      std::vector<std::string> hw_names;
+      for (const auto& region : value.partition.hw) {
+        hw_names.push_back(region.synthesized.region.name);
+      }
+      EXPECT_EQ(value.Json(),
+                ReferencePointJson(value.binary_name, value.platform_name,
+                                   value.estimate.speedup,
+                                   value.estimate.energy_savings,
+                                   value.estimate.area_gates, hw_names,
+                                   value.partition.rejected))
+          << value.binary_name << " on " << value.platform_name;
     }
-    EXPECT_EQ(value.Json(),
-              ReferencePointJson(value.binary_name, value.platform_name,
-                                 value.estimate.speedup,
-                                 value.estimate.energy_savings,
-                                 value.estimate.area_gates, hw_names,
-                                 value.partition.rejected))
-        << value.binary_name << " on " << value.platform_name;
   }
 }
 

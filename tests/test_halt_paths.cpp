@@ -1,8 +1,8 @@
 // Simulator halt paths end-to-end: binaries that exhaust the instruction
 // budget (HaltReason::kMaxInstructions) or fault (HaltReason::kFault) must
 // surface as clean Result errors from every flow entry point —
-// Toolchain::Run, Toolchain::RunMany, Toolchain::Explore, and RunDynamic —
-// never as partial or garbage estimates.
+// Toolchain::Run, Toolchain::Explore, and RunDynamic — never as partial or
+// garbage estimates.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -89,48 +89,8 @@ TEST(HaltPaths, ToolchainRunPropagatesBothHaltReasons) {
       << faulted.status().message();
 }
 
-// The daemon's entry point: every point of a sweep over the two bad
-// binaries fails with the error Toolchain::Run gives, and the failures are
-// cached, so a repeat sweep simulates nothing.
-TEST(HaltPaths, ExploreReportsHaltsPerPointAndCachesThem) {
-  Toolchain toolchain;
-  toolchain.WithMaxSimInstructions(5'000);
-  explore::ExploreSpec spec;
-  spec.binaries = {{"faulty", FaultingBinary()},
-                   {"spin", InfiniteLoopBinary()}};
-  spec.strategies = {"paper-greedy", "knapsack-optimal"};
-
-  const explore::ExploreResult cold = toolchain.Explore(spec);
-  ASSERT_EQ(cold.points.size(), 2u * spec.platforms.size() * 2u);
-  EXPECT_EQ(cold.simulations_run, 2u);
-  EXPECT_EQ(cold.decompilations_run, 0u);
-  for (const explore::ExplorePoint& point : cold.points) {
-    const auto& binary = point.binary_name == "faulty"
-                             ? spec.binaries[0].binary
-                             : spec.binaries[1].binary;
-    const auto single = toolchain.Run(binary, point.binary_name);
-    ASSERT_FALSE(single.ok());
-    ASSERT_FALSE(point.status.ok()) << point.binary_name;
-    EXPECT_EQ(point.status.kind(), ErrorKind::kMalformedBinary);
-    EXPECT_EQ(point.status.message(), single.status().message())
-        << point.binary_name << " on " << point.platform_name;
-  }
-
-  const explore::ExploreResult warm = toolchain.Explore(spec);
-  EXPECT_EQ(warm.simulations_run, 0u);
-  EXPECT_EQ(warm.decompilations_run, 0u);
-  ASSERT_EQ(warm.points.size(), cold.points.size());
-  for (std::size_t i = 0; i < warm.points.size(); ++i) {
-    EXPECT_EQ(warm.points[i].status.kind(), ErrorKind::kMalformedBinary);
-    EXPECT_EQ(warm.points[i].status.message(),
-              cold.points[i].status.message());
-  }
-}
-
-TEST(HaltPaths, RunManyIsolatesBadBinariesPerSlot) {
-  // A batch mixing a good binary, a faulting one, and a budget-buster:
-  // exactly the bad slots error; the good one still partitions.
-  auto good = mips::Assemble(R"(
+std::shared_ptr<const mips::SoftBinary> GoodBinary() {
+  auto assembled = mips::Assemble(R"(
     main:
       li $t0, 200
       li $v0, 0
@@ -140,32 +100,59 @@ TEST(HaltPaths, RunManyIsolatesBadBinariesPerSlot) {
       bgtz $t0, loop
       jr $ra
   )");
-  ASSERT_TRUE(good.ok());
-  std::vector<NamedBinary> binaries = {
-      {"good",
-       std::make_shared<const mips::SoftBinary>(std::move(good).take())},
-      {"faulty", FaultingBinary()},
-      {"spin", InfiniteLoopBinary()},
-      {"null", nullptr},
-  };
-  Toolchain toolchain;
-  toolchain.WithMaxSimInstructions(100'000);
-  const BatchResult batch =
-      toolchain.RunMany(binaries, {"mips200-xc2v1000", "mips400"});
-  ASSERT_EQ(batch.runs.size(), 8u);
-  for (std::size_t p = 0; p < 2; ++p) {
-    EXPECT_TRUE(batch.At(0, p).ok()) << batch.At(0, p).status().message();
-    // Clean estimates, not garbage: finite positive times and speedup.
-    EXPECT_GT(batch.At(0, p).value().estimate.speedup, 0.0);
-    EXPECT_GT(batch.At(0, p).value().estimate.sw_time, 0.0);
-    EXPECT_GT(batch.At(0, p).value().estimate.partitioned_time, 0.0);
+  Check(assembled.ok(), "assemble failed");
+  return std::make_shared<const mips::SoftBinary>(std::move(assembled).take());
+}
 
-    EXPECT_FALSE(batch.At(1, p).ok());
-    EXPECT_EQ(batch.At(1, p).status().kind(), ErrorKind::kMalformedBinary);
-    EXPECT_FALSE(batch.At(2, p).ok());
-    EXPECT_NE(batch.At(2, p).status().message().find("did not complete"),
-              std::string::npos);
-    EXPECT_FALSE(batch.At(3, p).ok());
+// The daemon's entry point: a sweep mixing a good binary, a faulting one,
+// a budget-buster and a null one.  Exactly the bad points fail — the two
+// halting binaries with the error Toolchain::Run gives — the good one
+// still partitions, and the failures are cached, so a repeat sweep
+// simulates nothing.
+TEST(HaltPaths, ExploreReportsHaltsPerPointAndCachesThem) {
+  Toolchain toolchain;
+  toolchain.WithMaxSimInstructions(5'000);
+  explore::ExploreSpec spec;
+  spec.binaries = {{"good", GoodBinary()},
+                   {"faulty", FaultingBinary()},
+                   {"spin", InfiniteLoopBinary()},
+                   {"null", nullptr}};
+  spec.strategies = {"paper-greedy", "knapsack-optimal"};
+
+  const explore::ExploreResult cold = toolchain.Explore(spec);
+  ASSERT_EQ(cold.points.size(), 4u * spec.platforms.size() * 2u);
+  EXPECT_EQ(cold.simulations_run, 3u);
+  EXPECT_EQ(cold.decompilations_run, 1u);
+  for (const explore::ExplorePoint& point : cold.points) {
+    if (point.binary_name == "good") {
+      ASSERT_TRUE(point.status.ok()) << point.status.message();
+      // Clean estimates, not garbage: positive speedup and time.
+      EXPECT_GT(point.speedup, 0.0) << point.platform_name;
+      EXPECT_GT(point.partitioned_time, 0.0) << point.platform_name;
+      continue;
+    }
+    ASSERT_FALSE(point.status.ok()) << point.binary_name;
+    EXPECT_EQ(point.status.kind(), ErrorKind::kMalformedBinary);
+    if (point.binary_name == "null") continue;
+    const auto single = toolchain.Run(
+        point.binary_name == "faulty" ? spec.binaries[1].binary
+                                      : spec.binaries[2].binary,
+        point.binary_name);
+    ASSERT_FALSE(single.ok());
+    EXPECT_EQ(point.status.message(), single.status().message())
+        << point.binary_name << " on " << point.platform_name;
+  }
+  EXPECT_NE(cold.At(2, 0, 0, 0).status.message().find("did not complete"),
+            std::string::npos);
+
+  const explore::ExploreResult warm = toolchain.Explore(spec);
+  EXPECT_EQ(warm.simulations_run, 0u);
+  EXPECT_EQ(warm.decompilations_run, 0u);
+  ASSERT_EQ(warm.points.size(), cold.points.size());
+  for (std::size_t i = 0; i < warm.points.size(); ++i) {
+    EXPECT_EQ(warm.points[i].status.kind(), cold.points[i].status.kind());
+    EXPECT_EQ(warm.points[i].status.message(),
+              cold.points[i].status.message());
   }
 }
 
