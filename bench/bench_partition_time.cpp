@@ -7,15 +7,20 @@
 // approaches."
 //
 // Measures the wall time of each flow stage on representative binaries:
-// decompilation alone, partitioning+synthesis alone, and the full flow.
+// the machine-code front end (assembly, lift), decompilation alone,
+// partitioning+synthesis alone, and the full flow.
 // For dynamic (on-chip) use the whole flow must be milliseconds-scale.
 // Binaries are held as shared_ptr so the timed loops measure the stages
 // themselves, not a defensive binary copy.
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <string>
 
+#include "decomp/lifter.hpp"
 #include "decomp/pass_manager.hpp"
+#include "minicc/codegen.hpp"
+#include "mips/assembler.hpp"
 #include "mips/simulator.hpp"
 #include "partition/strategy.hpp"
 #include "suite/runner.hpp"
@@ -40,6 +45,36 @@ Prepared Prepare(const char* name, int opt_level = 1) {
   mips::Simulator sim(*prepared.binary);
   prepared.run = sim.Run();
   return prepared;
+}
+
+// Front-end layer guards: the assembler on the compiler's output, and the
+// lift (CFG recovery + SSA construction) that starts every decompile.
+void BM_Assemble(benchmark::State& state, const char* name, int opt_level) {
+  minicc::CompileOptions options;
+  options.opt_level = opt_level;
+  auto compiled =
+      minicc::Compile(suite::FindBenchmark(name)->source, options);
+  if (!compiled.ok()) {
+    state.SkipWithError("compile failed");
+    return;
+  }
+  const std::string assembly = std::move(compiled).take().assembly;
+  for (auto _ : state) {
+    auto binary = mips::Assemble(assembly);
+    benchmark::DoNotOptimize(binary);
+  }
+  state.SetLabel(std::to_string(assembly.size()) + " bytes");
+}
+
+void BM_Lift(benchmark::State& state, const char* name, int opt_level) {
+  const Prepared prepared = Prepare(name, opt_level);
+  decomp::LiftOptions options;
+  options.profile = &prepared.run.profile;
+  for (auto _ : state) {
+    auto module = decomp::Lift(*prepared.binary, options);
+    benchmark::DoNotOptimize(module);
+  }
+  state.SetLabel(std::to_string(prepared.binary->text.size()) + " instrs");
 }
 
 void BM_Decompile(benchmark::State& state, const char* name,
@@ -90,6 +125,9 @@ BENCHMARK_CAPTURE(BM_Decompile, matmul, "matmul");
 BENCHMARK_CAPTURE(BM_Decompile, adpcm_enc_O3, "adpcm_enc", 3);
 // The next slowest: jpeg_dct@O3 (~2.2-2.6 ms in process).
 BENCHMARK_CAPTURE(BM_Decompile, jpeg_dct_O3, "jpeg_dct", 3);
+// jpeg_dct@O3 (~1.2k instructions) is the slowest suite binary to assemble.
+BENCHMARK_CAPTURE(BM_Assemble, jpeg_dct_O3, "jpeg_dct", 3);
+BENCHMARK_CAPTURE(BM_Lift, jpeg_dct_O3, "jpeg_dct", 3);
 BENCHMARK_CAPTURE(BM_PartitionAndSynthesize, fir, "fir");
 BENCHMARK_CAPTURE(BM_PartitionAndSynthesize, adpcm_enc, "adpcm_enc");
 BENCHMARK_CAPTURE(BM_PartitionAndSynthesize, matmul, "matmul");

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <array>
-#include <deque>
-#include <map>
-#include <set>
-#include <sstream>
+#include <charconv>
+#include <iterator>
 
 #include "mips/isa.hpp"
 #include "support/bits.hpp"
@@ -21,77 +19,135 @@ constexpr unsigned kNumLocs = 34;  // 32 GPRs + HI + LO
 constexpr unsigned kHi = 32;
 constexpr unsigned kLo = 33;
 
+/// Successor addresses of an instruction or block: none (a return), one,
+/// or a conditional branch's target then its fallthrough (possibly equal).
+struct Successors {
+  std::array<std::uint32_t, 2> pcs{};
+  std::uint8_t count = 0;
+
+  void Add(std::uint32_t pc) { pcs[count++] = pc; }
+};
+
 /// Machine-level basic block discovered during CFG recovery.
 struct MBlock {
   std::uint32_t start = 0;  // first instruction address
   std::uint32_t end = 0;    // one past last instruction address
-  std::vector<std::uint32_t> succs;  // successor leader addresses
+  Successors succs;         // successor leader addresses
 };
 
 /// Machine-level CFG of one function.
 struct MachineCfg {
   std::uint32_t entry = 0;
-  std::map<std::uint32_t, MBlock> blocks;  // keyed by leader address
-  std::set<std::uint32_t> call_targets;    // jal destinations seen
+  std::vector<MBlock> blocks;               // ascending leader address
+  std::vector<std::uint32_t> call_targets;  // jal destinations, ascending
 };
 
+/// "0x" + lowercase hex, as iostreams' std::hex prints it.
 std::string Hex(std::uint32_t value) {
-  std::ostringstream out;
-  out << "0x" << std::hex << value;
-  return out.str();
+  char buffer[10] = {'0', 'x'};
+  const auto end = std::to_chars(buffer + 2, std::end(buffer), value, 16).ptr;
+  return std::string(buffer, end);
 }
 
-/// Discover the machine CFG of the function entered at `entry`.
-Result<MachineCfg> RecoverCfg(const SoftBinary& binary, std::uint32_t entry) {
-  MachineCfg cfg;
-  cfg.entry = entry;
+/// Per-instruction tables of CFG recovery, indexed by (pc - kTextBase) / 4
+/// and shared by every function of one lift.  Recovery clears the entries it
+/// touched, so a function costs what it visits, not the size of the text.
+class CfgRecovery {
+ public:
+  explicit CfgRecovery(std::size_t words) : flags_(words, 0), flow_(words) {}
 
-  // Pass 1: walk reachable instructions, record leaders and flow edges.
-  std::set<std::uint32_t> visited;
-  std::set<std::uint32_t> leaders{entry};
-  std::deque<std::uint32_t> work{entry};
-  // flow[pc] = successor addresses of the instruction at pc (empty for ret).
-  std::map<std::uint32_t, std::vector<std::uint32_t>> flow;
+  /// Discover the machine CFG of the function entered at `entry`.
+  Result<MachineCfg> Recover(const SoftBinary& binary, std::uint32_t entry);
 
-  while (!work.empty()) {
-    std::uint32_t pc = work.front();
-    work.pop_front();
-    if (visited.count(pc) != 0) continue;
-    visited.insert(pc);
+ private:
+  static constexpr std::uint8_t kVisited = 1;
+  static constexpr std::uint8_t kLeader = 2;
+
+  static std::size_t IndexOf(std::uint32_t pc) {
+    return (pc - mips::kTextBase) / 4u;
+  }
+  /// Set `bit` on the instruction at `index`; false if it was already set.
+  bool SetFlag(std::size_t index, std::uint8_t bit) {
+    std::uint8_t& flags = flags_[index];
+    if ((flags & bit) != 0) return false;
+    if (flags == 0) touched_.push_back(index);
+    flags |= bit;
+    return true;
+  }
+  void MarkLeader(const SoftBinary& binary, std::uint32_t pc) {
+    // A leader outside text is an error once the walk reaches it.
+    if (binary.ContainsText(pc) && SetFlag(IndexOf(pc), kLeader)) {
+      leaders_.push_back(pc);
+    }
+  }
+  Result<MachineCfg> Walk(const SoftBinary& binary, std::uint32_t entry);
+  MachineCfg FormBlocks(std::uint32_t entry);
+
+  std::vector<std::uint8_t> flags_;  ///< kVisited | kLeader
+  std::vector<Successors> flow_;  ///< of each visited instruction
+  std::vector<std::size_t> touched_;      ///< indices with nonzero flags
+  std::vector<std::uint32_t> leaders_;    ///< this function's leaders
+  std::vector<std::uint32_t> work_;       ///< breadth-first queue
+  std::vector<std::uint32_t> calls_;      ///< jal targets seen
+};
+
+Result<MachineCfg> CfgRecovery::Recover(const SoftBinary& binary,
+                                       std::uint32_t entry) {
+  auto cfg = Walk(binary, entry);
+  for (const std::size_t index : touched_) flags_[index] = 0;
+  touched_.clear();
+  leaders_.clear();
+  work_.clear();
+  calls_.clear();
+  return cfg;
+}
+
+Result<MachineCfg> CfgRecovery::Walk(const SoftBinary& binary,
+                                    std::uint32_t entry) {
+  // Pass 1: walk reachable instructions breadth first, record leaders and
+  // flow edges.  The first error in walk order is the one reported.
+  MarkLeader(binary, entry);
+  work_.push_back(entry);
+  for (std::size_t head = 0; head < work_.size(); ++head) {
+    const std::uint32_t pc = work_[head];
     if (!binary.ContainsText(pc)) {
       return Status::Error(ErrorKind::kMalformedBinary,
                            "control flows outside text at " + Hex(pc));
     }
-    const auto decoded = mips::Decode(binary.WordAt(pc));
+    const std::size_t index = IndexOf(pc);
+    if (!SetFlag(index, kVisited)) continue;
+    const auto decoded = mips::Decode(binary.text[index]);
     if (!decoded) {
       return Status::Error(ErrorKind::kMalformedBinary,
                            "undecodable instruction at " + Hex(pc));
     }
     const Instr& in = *decoded;
-    std::vector<std::uint32_t>& succs = flow[pc];
+    Successors& flow = flow_[index];
+    flow = {};
     if (mips::IsBranch(in.op)) {
       const std::uint32_t target = mips::BranchTarget(pc, in);
       // `beq $0,$0` (assembler pseudo `b`) is unconditional.
       if (in.op == Op::kBeq && in.rs == 0 && in.rt == 0) {
-        succs = {target};
+        flow.Add(target);
       } else if (in.op == Op::kBne && in.rs == in.rt) {
-        succs = {pc + 4};
+        flow.Add(pc + 4);
       } else {
-        succs = {target, pc + 4};
+        flow.Add(target);
+        flow.Add(pc + 4);
       }
-      leaders.insert(succs.begin(), succs.end());
+      for (std::uint8_t i = 0; i < flow.count; ++i) {
+        MarkLeader(binary, flow.pcs[i]);
+      }
     } else if (in.op == Op::kJ) {
       const std::uint32_t target = mips::JumpTarget(pc, in);
-      succs = {target};
-      leaders.insert(target);
+      flow.Add(target);
+      MarkLeader(binary, target);
     } else if (in.op == Op::kJal) {
       // A call: control continues after the call in this function.
-      cfg.call_targets.insert(mips::JumpTarget(pc, in));
-      succs = {pc + 4};
+      calls_.push_back(mips::JumpTarget(pc, in));
+      flow.Add(pc + 4);
     } else if (in.op == Op::kJr) {
-      if (in.rs == mips::kRa) {
-        succs = {};  // return
-      } else {
+      if (in.rs != mips::kRa) {
         // The paper: "CDFG recovery ... failed for two EEMBC examples
         // because of indirect jumps."  Reproduce that failure mode.
         return Status::Error(
@@ -99,35 +155,49 @@ Result<MachineCfg> RecoverCfg(const SoftBinary& binary, std::uint32_t entry) {
             "unresolvable indirect jump (jr " +
                 std::string(mips::RegName(in.rs)) + ") at " + Hex(pc));
       }
+      // A return: no successors.
     } else if (in.op == Op::kJalr) {
       return Status::Error(ErrorKind::kIndirectJump,
                            "unresolvable indirect call (jalr) at " + Hex(pc));
     } else {
-      succs = {pc + 4};
+      flow.Add(pc + 4);
     }
-    for (std::uint32_t succ : succs) work.push_back(succ);
+    for (std::uint8_t i = 0; i < flow.count; ++i) {
+      work_.push_back(flow.pcs[i]);
+    }
   }
+  return FormBlocks(entry);
+}
 
-  // Pass 2: form blocks [leader, next leader / control instruction].
-  for (std::uint32_t leader : leaders) {
-    if (visited.count(leader) == 0) continue;  // e.g. dead fallthrough
+MachineCfg CfgRecovery::FormBlocks(std::uint32_t entry) {
+  // Pass 2: form blocks [leader, next leader / control instruction].  Every
+  // leader was walked: each one is a successor the walk queued.
+  MachineCfg cfg;
+  cfg.entry = entry;
+  std::sort(leaders_.begin(), leaders_.end());
+  cfg.blocks.reserve(leaders_.size());
+  for (const std::uint32_t leader : leaders_) {
     MBlock block;
     block.start = leader;
     std::uint32_t pc = leader;
     while (true) {
-      const auto& succs = flow.at(pc);
+      const std::size_t index = IndexOf(pc);
+      const Successors& flow = flow_[index];
       const bool is_control =
-          succs.empty() || succs.size() > 1 || succs[0] != pc + 4 ||
-          leaders.count(pc + 4) != 0;
+          flow.count != 1 || flow.pcs[0] != pc + 4 ||
+          index + 1 >= flags_.size() || (flags_[index + 1] & kLeader) != 0;
       if (is_control) {
         block.end = pc + 4;
-        block.succs = succs;
+        block.succs = flow;
         break;
       }
       pc += 4;
     }
-    cfg.blocks.emplace(leader, std::move(block));
+    cfg.blocks.push_back(block);
   }
+  std::sort(calls_.begin(), calls_.end());
+  calls_.erase(std::unique(calls_.begin(), calls_.end()), calls_.end());
+  cfg.call_targets = calls_;
   return cfg;
 }
 
@@ -142,7 +212,7 @@ class FunctionLifter {
     CreateBlocks();
     // Lift blocks in discovery (address) order; SSA state resolution handles
     // any order because block-entry reads become placeholders.
-    for (const auto& [leader, mblock] : cfg_.blocks) {
+    for (const MBlock& mblock : cfg_.blocks) {
       if (Status status = LiftBlock(mblock); !status.ok()) return status;
     }
     function_.RecomputeCfg();
@@ -162,22 +232,31 @@ class FunctionLifter {
   };
 
   void CreateBlocks() {
-    // Per-block state is indexed by the leader's position in address order.
-    leaders_.reserve(cfg_.blocks.size());
-    for (const auto& [leader, mblock] : cfg_.blocks) leaders_.push_back(leader);
-    blocks_.assign(leaders_.size(), nullptr);
-    states_.assign(leaders_.size(), BlockState{});
-    entry_values_.assign(leaders_.size() * kNumLocs, ir::Value::None());
+    // Per-block state is indexed by the leader's position in address order,
+    // found through a table indexed by word offset from the first leader.
+    const std::size_t count = cfg_.blocks.size();
+    first_leader_ = cfg_.blocks.front().start;
+    block_index_.assign((cfg_.blocks.back().start - first_leader_) / 4u + 1,
+                        kNoBlock);
+    for (std::size_t i = 0; i < count; ++i) {
+      block_index_[(cfg_.blocks[i].start - first_leader_) / 4u] =
+          static_cast<std::uint32_t>(i);
+    }
+    blocks_.assign(count, nullptr);
+    states_.assign(count, BlockState{});
+    entry_values_.assign(count * kNumLocs, ir::Value::None());
     // The entry block must be first in the function.
     std::vector<std::uint32_t> order;
+    order.reserve(count);
     order.push_back(cfg_.entry);
-    for (std::uint32_t leader : leaders_) {
-      if (leader != cfg_.entry) order.push_back(leader);
+    for (const MBlock& mblock : cfg_.blocks) {
+      if (mblock.start != cfg_.entry) order.push_back(mblock.start);
     }
     for (std::uint32_t leader : order) {
-      std::ostringstream name;
-      name << "bb_" << std::hex << leader;
-      ir::Block* block = function_.CreateBlock(name.str(), leader);
+      char name[11] = {'b', 'b', '_'};
+      const auto end = std::to_chars(name + 3, std::end(name), leader, 16).ptr;
+      ir::Block* block =
+          function_.CreateBlock(std::string(name, end), leader);
       blocks_[IndexOf(leader)] = block;
       states_[IndexOf(leader)].block = block;
     }
@@ -185,9 +264,12 @@ class FunctionLifter {
 
   /// Position of `leader` among the function's block leaders.
   [[nodiscard]] std::size_t IndexOf(std::uint32_t leader) const {
-    const auto it = std::lower_bound(leaders_.begin(), leaders_.end(), leader);
-    Check(it != leaders_.end() && *it == leader, "lifter: not a block leader");
-    return static_cast<std::size_t>(it - leaders_.begin());
+    const std::uint32_t offset = leader - first_leader_;
+    const std::size_t slot = offset / 4u;
+    Check(offset % 4u == 0 && slot < block_index_.size() &&
+              block_index_[slot] != kNoBlock,
+          "lifter: not a block leader");
+    return block_index_[slot];
   }
 
   [[nodiscard]] ir::Block* BlockAt(std::uint32_t leader) const {
@@ -492,10 +574,10 @@ class FunctionLifter {
 
     // Fallthrough block (last instruction was not control flow).
     if (!block->has_terminator()) {
-      Check(mblock.succs.size() == 1, "lifter: fallthrough without successor");
+      Check(mblock.succs.count == 1, "lifter: fallthrough without successor");
       ir::Instr* br = function_.Create(ir::Opcode::kBr);
       br->src_pc = mblock.end - 4;
-      br->target0 = BlockAt(mblock.succs[0]);
+      br->target0 = BlockAt(mblock.succs.pcs[0]);
       block->Append(br);
     }
     return Status::Ok();
@@ -522,7 +604,11 @@ class FunctionLifter {
   const MachineCfg& cfg_;
   ir::Function& function_;
   const LiftOptions& options_;
-  std::vector<std::uint32_t> leaders_;  ///< block leaders, ascending
+  static constexpr std::uint32_t kNoBlock = ~0u;
+  std::uint32_t first_leader_ = 0;  ///< lowest block leader
+  /// Block position of each leader, [(leader - first_leader_) / 4];
+  /// kNoBlock for addresses that lead no block.
+  std::vector<std::uint32_t> block_index_;
   std::vector<ir::Block*> blocks_;
   std::vector<BlockState> states_;
   /// Register value at block entry, [index * kNumLocs + reg]; None = unset.
@@ -584,31 +670,52 @@ Result<ir::Module> LiftFrom(const mips::SoftBinary& binary,
                             const LiftOptions& options) {
   ir::Module module;
 
-  // Discover functions: the root plus transitive jal targets.
-  std::set<std::uint32_t> discovered{root_entry};
-  std::deque<std::uint32_t> work{root_entry};
-  std::map<std::uint32_t, MachineCfg> cfgs;
-  while (!work.empty()) {
-    const std::uint32_t entry = work.front();
-    work.pop_front();
-    if (cfgs.count(entry) != 0) continue;
-    auto cfg = RecoverCfg(binary, entry);
+  // Discover functions breadth first: the root plus transitive jal targets.
+  // `work` is the queue and the discovered list; a target outside text is
+  // queued as is and fails recovery when its turn comes.
+  CfgRecovery recovery(binary.text.size());
+  std::vector<bool> discovered(binary.text.size(), false);
+  const auto discover = [&](std::uint32_t entry) {
+    if (!binary.ContainsText(entry)) return true;
+    const std::size_t index = (entry - mips::kTextBase) / 4u;
+    if (discovered[index]) return false;
+    discovered[index] = true;
+    return true;
+  };
+  std::vector<std::uint32_t> work{root_entry};
+  discover(root_entry);
+  std::vector<MachineCfg> cfgs;
+  for (std::size_t head = 0; head < work.size(); ++head) {
+    auto cfg = recovery.Recover(binary, work[head]);
     if (!cfg.ok()) return cfg.status();
     for (std::uint32_t callee : cfg.value().call_targets) {
-      if (discovered.insert(callee).second) work.push_back(callee);
+      if (discover(callee)) work.push_back(callee);
     }
-    cfgs.emplace(entry, std::move(cfg).take());
+    cfgs.push_back(std::move(cfg).take());
+  }
+  std::sort(cfgs.begin(), cfgs.end(),
+            [](const MachineCfg& a, const MachineCfg& b) {
+              return a.entry < b.entry;
+            });
+
+  // Names come from symbols when available: the first symbol, in name
+  // order, at a function's entry.
+  std::vector<const std::string*> symbol_names(cfgs.size(), nullptr);
+  for (const auto& [symbol, addr] : binary.symbols) {
+    const auto it = std::lower_bound(
+        cfgs.begin(), cfgs.end(), addr,
+        [](const MachineCfg& cfg, std::uint32_t a) { return cfg.entry < a; });
+    if (it == cfgs.end() || it->entry != addr) continue;
+    const std::string*& name = symbol_names[it - cfgs.begin()];
+    if (name == nullptr) name = &symbol;
   }
 
-  // Lift each function.  Names come from symbols when available.
-  for (const auto& [entry, cfg] : cfgs) {
-    std::string name = "func_" + Hex(entry);
-    for (const auto& [symbol, addr] : binary.symbols) {
-      if (addr == entry) {
-        name = symbol;
-        break;
-      }
-    }
+  // Lift each function, in entry order.
+  for (std::size_t i = 0; i < cfgs.size(); ++i) {
+    const MachineCfg& cfg = cfgs[i];
+    const std::uint32_t entry = cfg.entry;
+    std::string name = symbol_names[i] != nullptr ? *symbol_names[i]
+                                                  : "func_" + Hex(entry);
     auto function = std::make_unique<ir::Function>(name, entry);
     FunctionLifter lifter(binary, cfg, *function, options);
     if (Status status = lifter.Run(); !status.ok()) return status;
@@ -637,15 +744,17 @@ Result<ir::Module> LiftAt(const mips::SoftBinary& binary,
 }
 
 std::vector<std::uint32_t> FunctionEntries(const mips::SoftBinary& binary) {
-  std::set<std::uint32_t> entries{binary.entry};
+  std::vector<std::uint32_t> entries{binary.entry};
   for (std::size_t i = 0; i < binary.text.size(); ++i) {
     const auto instr = mips::Decode(binary.text[i]);
     if (!instr.has_value() || instr->op != mips::Op::kJal) continue;
     const std::uint32_t pc = mips::kTextBase + static_cast<std::uint32_t>(i) * 4u;
     const std::uint32_t target = mips::JumpTarget(pc, *instr);
-    if (binary.ContainsText(target)) entries.insert(target);
+    if (binary.ContainsText(target)) entries.push_back(target);
   }
-  return {entries.begin(), entries.end()};
+  std::sort(entries.begin(), entries.end());
+  entries.erase(std::unique(entries.begin(), entries.end()), entries.end());
+  return entries;
 }
 
 }  // namespace b2h::decomp

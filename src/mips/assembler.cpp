@@ -1,11 +1,14 @@
 #include "mips/assembler.hpp"
 
-#include <cctype>
+#include <algorithm>
+#include <array>
 #include <cstdint>
-#include <map>
+#include <cstring>
+#include <limits>
 #include <optional>
-#include <sstream>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "mips/isa.hpp"
@@ -16,51 +19,147 @@
 namespace b2h::mips {
 namespace {
 
-struct Token {
-  std::string text;
+// The assembler does no per-line allocation: lines and tokens are
+// string_views into the source, and mnemonics and register names are found
+// in tables built once.
+
+/// Character classes of the tokenizer: a token character, a separator
+/// (C-locale whitespace or a comma), or the start of a comment.
+enum class CharClass : std::uint8_t { kToken, kSeparator, kComment };
+
+constexpr std::array<CharClass, 256> kCharClass = [] {
+  std::array<CharClass, 256> classes{};
+  classes.fill(CharClass::kToken);
+  for (const unsigned char c : {' ', '\t', '\n', '\v', '\f', '\r', ','}) {
+    classes[c] = CharClass::kSeparator;
+  }
+  classes['#'] = CharClass::kComment;
+  return classes;
+}();
+
+/// Split an assembly line into comma/space separated operand tokens, with
+/// the mnemonic first, into `tokens` (cleared first).  Memory operands like
+/// "8($sp)" stay one token.
+void Tokenize(std::string_view line, std::vector<std::string_view>& tokens) {
+  tokens.clear();
+  std::size_t start = 0;
+  bool in_token = false;
+  std::size_t i = 0;
+  for (; i < line.size(); ++i) {
+    const CharClass cls = kCharClass[static_cast<unsigned char>(line[i])];
+    if (cls == CharClass::kToken) {
+      if (!in_token) start = i;
+      in_token = true;
+      continue;
+    }
+    if (in_token) tokens.push_back(line.substr(start, i - start));
+    in_token = false;
+    if (cls == CharClass::kComment) return;
+  }
+  if (in_token) tokens.push_back(line.substr(start, i - start));
+}
+
+/// A name of up to 7 bytes packed into one integer with its length, so table
+/// lookups compare integers.  0 for names that are empty or too long, which
+/// no table entry is.
+constexpr std::uint64_t PackName(std::string_view name) {
+  if (name.empty() || name.size() > 7) return 0;
+  std::uint64_t key = static_cast<std::uint64_t>(name.size()) << 56;
+  for (std::size_t i = 0; i < name.size(); ++i) {
+    key |= static_cast<std::uint64_t>(static_cast<unsigned char>(name[i]))
+           << (8 * i);
+  }
+  return key;
+}
+
+/// Sorted (key, value) table searched by PackName key.
+template <typename T, std::size_t N>
+struct NameTable {
+  std::array<std::pair<std::uint64_t, T>, N> entries;
+
+  [[nodiscard]] std::optional<T> Find(std::string_view name) const {
+    const std::uint64_t key = PackName(name);
+    const auto it = std::lower_bound(
+        entries.begin(), entries.end(), key,
+        [](const auto& entry, std::uint64_t k) { return entry.first < k; });
+    if (key == 0 || it == entries.end() || it->first != key) {
+      return std::nullopt;
+    }
+    return it->second;
+  }
 };
 
-/// Split an assembly line into comma/space separated operand tokens, with the
-/// mnemonic first.  Memory operands like "8($sp)" stay one token.
-std::vector<std::string> Tokenize(std::string_view line) {
-  std::vector<std::string> tokens;
-  std::string current;
-  for (char c : line) {
-    if (c == '#') break;
-    if (std::isspace(static_cast<unsigned char>(c)) || c == ',') {
-      if (!current.empty()) {
-        tokens.push_back(current);
-        current.clear();
-      }
-    } else {
-      current.push_back(c);
+/// Register names without the '$', indexed by register number.
+const NameTable<std::uint8_t, 32>& RegisterTable() {
+  static const NameTable<std::uint8_t, 32> table = [] {
+    NameTable<std::uint8_t, 32> built{};
+    for (unsigned reg = 0; reg < 32; ++reg) {
+      built.entries[reg] = {PackName(std::string_view(RegName(reg)).substr(1)),
+                            static_cast<std::uint8_t>(reg)};
     }
-  }
-  if (!current.empty()) tokens.push_back(current);
-  return tokens;
+    std::sort(built.entries.begin(), built.entries.end());
+    return built;
+  }();
+  return table;
+}
+
+/// Pseudo-instructions; kNone for a real instruction.
+enum class Pseudo : std::uint8_t {
+  kNone, kNop, kMove, kNeg, kNot, kLi, kLa, kB, kBgt, kBlt, kBge, kBle,
+};
+
+/// What a statement's mnemonic names.  `op` is kInvalid for a pseudo
+/// instruction and for an unknown mnemonic (pseudo kNone).
+struct StatementOp {
+  Op op = Op::kInvalid;
+  Pseudo pseudo = Pseudo::kNone;
+};
+
+constexpr std::pair<std::string_view, Pseudo> kPseudoNames[] = {
+    {"nop", Pseudo::kNop}, {"move", Pseudo::kMove}, {"neg", Pseudo::kNeg},
+    {"not", Pseudo::kNot}, {"li", Pseudo::kLi},     {"la", Pseudo::kLa},
+    {"b", Pseudo::kB},     {"bgt", Pseudo::kBgt},   {"blt", Pseudo::kBlt},
+    {"bge", Pseudo::kBge}, {"ble", Pseudo::kBle},
+};
+constexpr std::size_t kMnemonicCount =
+    static_cast<std::size_t>(Op::kInvalid) + std::size(kPseudoNames);
+
+StatementOp LookupMnemonic(std::string_view name) {
+  static const NameTable<StatementOp, kMnemonicCount> table = [] {
+    NameTable<StatementOp, kMnemonicCount> built{};
+    std::size_t n = 0;
+    for (int i = 0; i < static_cast<int>(Op::kInvalid); ++i) {
+      const Op op = static_cast<Op>(i);
+      built.entries[n++] = {PackName(Mnemonic(op)), {op, Pseudo::kNone}};
+    }
+    for (const auto& [pseudo_name, pseudo] : kPseudoNames) {
+      built.entries[n++] = {PackName(pseudo_name), {Op::kInvalid, pseudo}};
+    }
+    std::sort(built.entries.begin(), built.entries.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    return built;
+  }();
+  return table.Find(name).value_or(StatementOp{});
 }
 
 std::optional<std::uint8_t> ParseReg(std::string_view text) {
   if (text.empty() || text[0] != '$') return std::nullopt;
   const std::string_view name = text.substr(1);
   // Numeric form: $0..$31.
-  if (!name.empty() && std::isdigit(static_cast<unsigned char>(name[0]))) {
+  if (!name.empty() && name[0] >= '0' && name[0] <= '9') {
     int value = 0;
     for (char c : name) {
-      if (!std::isdigit(static_cast<unsigned char>(c))) return std::nullopt;
+      if (c < '0' || c > '9') return std::nullopt;
       value = value * 10 + (c - '0');
+      if (value > 31) return std::nullopt;
     }
-    if (value < 0 || value > 31) return std::nullopt;
     return static_cast<std::uint8_t>(value);
   }
-  for (unsigned reg = 0; reg < 32; ++reg) {
-    if (name == std::string_view(RegName(reg)).substr(1)) {
-      return static_cast<std::uint8_t>(reg);
-    }
-  }
-  return std::nullopt;
+  return RegisterTable().Find(name);
 }
 
+/// Decimal or 0x-hex integer with an optional sign; std::nullopt for
+/// anything else, including magnitudes beyond int64.
 std::optional<std::int64_t> ParseInt(std::string_view text) {
   if (text.empty()) return std::nullopt;
   bool negative = false;
@@ -89,9 +188,17 @@ std::optional<std::int64_t> ParseInt(std::string_view text) {
     } else {
       return std::nullopt;
     }
+    if (value > (std::numeric_limits<std::int64_t>::max() - digit) / base) {
+      return std::nullopt;
+    }
     value = value * base + digit;
   }
   return negative ? -value : value;
+}
+
+/// True when `value` fits a signed 16-bit immediate field.
+bool FitsSigned16(std::int32_t value) {
+  return value >= -32768 && value <= 32767;
 }
 
 struct MemOperand {
@@ -121,112 +228,143 @@ std::optional<MemOperand> ParseMem(std::string_view text) {
   return mem;
 }
 
-/// One assembly statement scheduled for pass-2 fixup.
+/// Operand positions an instruction statement reads (mnemonic included).
+constexpr std::size_t kMaxOperandTokens = 4;
+
+/// One instruction statement scheduled for pass-2 fixup.
 struct PendingInstr {
-  std::vector<std::string> tokens;  // mnemonic + operands
+  StatementOp mnemonic;
+  /// First kMaxOperandTokens tokens (mnemonic first); `count` is the full
+  /// token count, which the operand checks compare against.
+  std::array<std::string_view, kMaxOperandTokens> tokens;
+  std::size_t count = 0;
   std::uint32_t address = 0;
   int line = 0;
   int words = 1;  // pseudo-instructions may expand to 2 words
 };
 
 struct PendingDataWord {
-  std::string label;       // non-empty when the word is a label reference
+  std::string_view label;  // non-empty when the word is a label reference
   std::uint32_t value = 0;
   std::size_t offset = 0;  // byte offset within data segment
 };
 
+/// Two-pass assembler over one source; every string_view it holds points
+/// into that source, which outlives the run.
 class Assembler {
  public:
   Result<SoftBinary> Run(std::string_view source) {
-    std::istringstream stream{std::string(source)};
-    std::string line;
     int line_number = 0;
-    while (std::getline(stream, line)) {
+    std::size_t start = 0;
+    // One line per '\n'; a last line without one counts too.
+    while (start < source.size()) {
+      const void* newline =
+          std::memchr(source.data() + start, '\n', source.size() - start);
+      const std::size_t end =
+          newline == nullptr
+              ? source.size()
+              : static_cast<std::size_t>(static_cast<const char*>(newline) -
+                                         source.data());
       ++line_number;
-      if (Status status = FirstPassLine(line, line_number); !status.ok()) {
+      if (Status status =
+              FirstPassLine(source.substr(start, end - start), line_number);
+          !status.ok()) {
         return status;
       }
+      start = end + 1;
     }
     return SecondPass();
   }
 
  private:
-  Status Fail(int line, const std::string& message) const {
-    std::ostringstream out;
-    out << "asm:" << line << ": " << message;
-    return Status::Error(ErrorKind::kParse, out.str());
+  static Status Fail(int line, std::string_view message) {
+    std::string text = "asm:" + std::to_string(line) + ": ";
+    text += message;
+    return Status::Error(ErrorKind::kParse, std::move(text));
   }
 
   Status FirstPassLine(std::string_view raw, int line) {
-    auto tokens = Tokenize(raw);
+    Tokenize(raw, tokens_);
+    std::size_t first = 0;
     // Handle any leading labels ("loop:" possibly followed by an instr).
-    while (!tokens.empty() && tokens.front().back() == ':') {
-      std::string label = tokens.front().substr(0, tokens.front().size() - 1);
+    while (first < tokens_.size() && tokens_[first].back() == ':') {
+      const std::string_view label =
+          tokens_[first].substr(0, tokens_[first].size() - 1);
       if (label.empty()) return Fail(line, "empty label");
-      if (symbols_.count(label) != 0) {
-        return Fail(line, "duplicate label '" + label + "'");
+      const auto [it, inserted] =
+          symbols_.try_emplace(label, in_text_ ? TextAddress() : DataAddress());
+      if (!inserted) {
+        return Fail(line, "duplicate label '" + std::string(label) + "'");
       }
-      symbols_[label] = in_text_ ? TextAddress() : DataAddress();
-      tokens.erase(tokens.begin());
+      ++first;
     }
-    if (tokens.empty()) return Status::Ok();
+    if (first == tokens_.size()) return Status::Ok();
+    const std::string_view head = tokens_[first];
+    const std::size_t operands = tokens_.size() - first - 1;
+    const auto operand = [&](std::size_t i) { return tokens_[first + i]; };
 
-    const std::string& head = tokens.front();
-    if (head == ".text") {
-      in_text_ = true;
-      return Status::Ok();
-    }
-    if (head == ".data") {
-      in_text_ = false;
-      return Status::Ok();
-    }
-    if (head == ".word") {
-      if (in_text_) return Fail(line, ".word only allowed in .data");
-      if (!DataFits(4 * (tokens.size() - 1))) return DataTooLarge(line);
-      for (std::size_t i = 1; i < tokens.size(); ++i) {
-        PendingDataWord word;
-        word.offset = data_.size();
-        if (auto value = ParseInt(tokens[i])) {
-          word.value = static_cast<std::uint32_t>(*value);
-        } else {
-          word.label = tokens[i];
+    if (head[0] == '.') {
+      if (head == ".text") {
+        in_text_ = true;
+        return Status::Ok();
+      }
+      if (head == ".data") {
+        in_text_ = false;
+        return Status::Ok();
+      }
+      if (head == ".word") {
+        if (in_text_) return Fail(line, ".word only allowed in .data");
+        if (!DataFits(4 * operands)) return DataTooLarge(line);
+        for (std::size_t i = 1; i <= operands; ++i) {
+          PendingDataWord word;
+          word.offset = data_.size();
+          if (auto value = ParseInt(operand(i))) {
+            word.value = static_cast<std::uint32_t>(*value);
+          } else {
+            word.label = operand(i);
+          }
+          pending_words_.push_back(word);
+          data_.insert(data_.end(), 4, 0);
         }
-        pending_words_.push_back(word);
-        data_.insert(data_.end(), 4, 0);
+        return Status::Ok();
       }
-      return Status::Ok();
-    }
-    if (head == ".byte") {
-      if (in_text_) return Fail(line, ".byte only allowed in .data");
-      if (!DataFits(tokens.size() - 1)) return DataTooLarge(line);
-      for (std::size_t i = 1; i < tokens.size(); ++i) {
-        const auto value = ParseInt(tokens[i]);
-        if (!value) return Fail(line, "bad .byte value");
-        data_.push_back(static_cast<std::uint8_t>(*value & 0xFF));
+      if (head == ".byte") {
+        if (in_text_) return Fail(line, ".byte only allowed in .data");
+        if (!DataFits(operands)) return DataTooLarge(line);
+        for (std::size_t i = 1; i <= operands; ++i) {
+          const auto value = ParseInt(operand(i));
+          if (!value) return Fail(line, "bad .byte value");
+          data_.push_back(static_cast<std::uint8_t>(*value & 0xFF));
+        }
+        return Status::Ok();
       }
-      return Status::Ok();
-    }
-    if (head == ".space") {
-      if (in_text_ || tokens.size() != 2) {
-        return Fail(line, "bad .space directive");
+      if (head == ".space") {
+        if (in_text_ || operands != 1) {
+          return Fail(line, "bad .space directive");
+        }
+        const auto size = ParseInt(operand(1));
+        if (!size || *size < 0) return Fail(line, "bad .space size");
+        if (!DataFits(static_cast<std::uint64_t>(*size))) {
+          return DataTooLarge(line);
+        }
+        data_.insert(data_.end(), static_cast<std::size_t>(*size), 0);
+        return Status::Ok();
       }
-      const auto size = ParseInt(tokens[1]);
-      if (!size || *size < 0) return Fail(line, "bad .space size");
-      if (!DataFits(static_cast<std::uint64_t>(*size))) {
-        return DataTooLarge(line);
-      }
-      data_.insert(data_.end(), static_cast<std::size_t>(*size), 0);
-      return Status::Ok();
     }
     if (!in_text_) return Fail(line, "instruction outside .text");
 
+    // An unknown mnemonic is reported in pass 2, in statement order.
     PendingInstr pending;
-    pending.tokens = std::move(tokens);
+    pending.mnemonic = LookupMnemonic(head);
+    pending.count = operands + 1;
+    for (std::size_t i = 0; i < pending.count && i < kMaxOperandTokens; ++i) {
+      pending.tokens[i] = operand(i);
+    }
     pending.address = TextAddress();
     pending.line = line;
-    pending.words = WordCount(pending.tokens);
+    pending.words = WordCount(pending);
     text_words_ += static_cast<std::uint32_t>(pending.words);
-    pending_instrs_.push_back(std::move(pending));
+    pending_instrs_.push_back(pending);
     return Status::Ok();
   }
 
@@ -238,7 +376,7 @@ class Assembler {
   [[nodiscard]] bool DataFits(std::uint64_t more_bytes) const {
     return more_bytes <= support::GuestMemory::kDataSize - data_.size();
   }
-  Status DataTooLarge(int line) const {
+  static Status DataTooLarge(int line) {
     return Fail(line, "data exceeds the " +
                           std::to_string(support::GuestMemory::kDataSize) +
                           "-byte data segment");
@@ -248,23 +386,27 @@ class Assembler {
   }
 
   /// Number of machine words a (possibly pseudo) instruction expands to.
-  static int WordCount(const std::vector<std::string>& tokens) {
-    const std::string& m = tokens.front();
-    if (m == "la") return 2;  // lui + ori
-    if (m == "li") {
-      if (tokens.size() == 3) {
-        if (auto value = ParseInt(tokens[2])) {
-          const std::int64_t v = *value;
-          if (v >= -32768 && v <= 32767) return 1;          // addiu
-          if (v >= 0 && v <= 0xFFFF) return 1;              // ori
-          if ((v & 0xFFFF) == 0 && v >= 0 && v <= 0xFFFF0000LL) return 1;
-          return 2;                                         // lui + ori
+  static int WordCount(const PendingInstr& pending) {
+    switch (pending.mnemonic.pseudo) {
+      case Pseudo::kLa:
+        return 2;  // lui + ori
+      case Pseudo::kLi:
+        if (pending.count == 3) {
+          if (auto value = ParseInt(pending.tokens[2])) {
+            const std::int64_t v = *value;
+            if (v >= -32768 && v <= 32767) return 1;          // addiu
+            if (v >= 0 && v <= 0xFFFF) return 1;              // ori
+            if ((v & 0xFFFF) == 0 && v >= 0 && v <= 0xFFFF0000LL) return 1;
+            return 2;                                         // lui + ori
+          }
         }
-      }
-      return 2;
+        return 2;
+      case Pseudo::kBgt: case Pseudo::kBlt: case Pseudo::kBge:
+      case Pseudo::kBle:
+        return 2;
+      default:
+        return 1;
     }
-    if (m == "bgt" || m == "blt" || m == "bge" || m == "ble") return 2;
-    return 1;
   }
 
   Result<SoftBinary> SecondPass() {
@@ -281,7 +423,8 @@ class Assembler {
         const auto it = symbols_.find(word.label);
         if (it == symbols_.end()) {
           return Status::Error(ErrorKind::kParse,
-                               "undefined data label '" + word.label + "'");
+                               "undefined data label '" +
+                                   std::string(word.label) + "'");
         }
         value = it->second;
       }
@@ -291,37 +434,39 @@ class Assembler {
       }
     }
     binary.data = std::move(data_);
-    binary.symbols = symbols_;
+    std::vector<std::pair<std::string_view, std::uint32_t>> sorted(
+        symbols_.begin(), symbols_.end());
+    std::sort(sorted.begin(), sorted.end());
+    for (const auto& [name, address] : sorted) {
+      binary.symbols.emplace_hint(binary.symbols.end(), name, address);
+    }
     if (const auto it = symbols_.find("main"); it != symbols_.end()) {
       binary.entry = it->second;
     }
     return binary;
   }
 
-  std::optional<std::uint32_t> LookupSymbol(const std::string& name) const {
-    const auto it = symbols_.find(name);
-    if (it == symbols_.end()) return std::nullopt;
-    return it->second;
-  }
-
   /// Resolve a branch/jump operand that may be a label or a number.
-  std::optional<std::uint32_t> ResolveTarget(const std::string& text) const {
-    if (auto symbol = LookupSymbol(text)) return *symbol;
+  std::optional<std::uint32_t> ResolveTarget(std::string_view text) const {
+    if (const auto it = symbols_.find(text); it != symbols_.end()) {
+      return it->second;
+    }
     if (auto value = ParseInt(text)) return static_cast<std::uint32_t>(*value);
     return std::nullopt;
   }
 
-  Status EmitInstr(const PendingInstr& pending, SoftBinary& binary) {
+  Status EmitInstr(const PendingInstr& pending, SoftBinary& binary) const {
     const auto& tokens = pending.tokens;
-    const std::string& m = tokens.front();
+    const std::size_t count = pending.count;
+    const std::string_view m = tokens[0];
     const int line = pending.line;
     const std::uint32_t pc = pending.address;
 
     const auto reg = [&](std::size_t i) -> std::optional<std::uint8_t> {
-      return i < tokens.size() ? ParseReg(tokens[i]) : std::nullopt;
+      return i < count ? ParseReg(tokens[i]) : std::nullopt;
     };
     const auto imm = [&](std::size_t i) -> std::optional<std::int64_t> {
-      return i < tokens.size() ? ParseInt(tokens[i]) : std::nullopt;
+      return i < count ? ParseInt(tokens[i]) : std::nullopt;
     };
     const auto push = [&](const Instr& instr) { binary.text.push_back(Encode(instr)); };
     const auto branch_disp = [&](std::uint32_t target,
@@ -330,101 +475,110 @@ class Assembler {
     };
 
     // ---- pseudo-instructions ----
-    if (m == "nop") {
-      push({.op = Op::kSll, .rs = 0, .rt = 0, .rd = 0, .shamt = 0});
-      return Status::Ok();
-    }
-    if (m == "move") {
-      const auto rd = reg(1), rs = reg(2);
-      if (!rd || !rs) return Fail(line, "move: bad operands");
-      push({.op = Op::kOr, .rs = *rs, .rt = 0, .rd = *rd});
-      return Status::Ok();
-    }
-    if (m == "neg") {
-      const auto rd = reg(1), rs = reg(2);
-      if (!rd || !rs) return Fail(line, "neg: bad operands");
-      push({.op = Op::kSubu, .rs = 0, .rt = *rs, .rd = *rd});
-      return Status::Ok();
-    }
-    if (m == "not") {
-      const auto rd = reg(1), rs = reg(2);
-      if (!rd || !rs) return Fail(line, "not: bad operands");
-      push({.op = Op::kNor, .rs = *rs, .rt = 0, .rd = *rd});
-      return Status::Ok();
-    }
-    if (m == "li") {
-      const auto rd = reg(1);
-      const auto value = imm(2);
-      if (!rd || !value) return Fail(line, "li: bad operands");
-      const std::int64_t v = *value;
-      if (v >= -32768 && v <= 32767) {
-        push({.op = Op::kAddiu, .rs = 0, .rt = *rd,
-              .imm = static_cast<std::int32_t>(v)});
-      } else if (v >= 0 && v <= 0xFFFF) {
-        push({.op = Op::kOri, .rs = 0, .rt = *rd,
-              .imm = static_cast<std::int32_t>(v)});
-      } else if ((v & 0xFFFF) == 0 && v >= 0 && v <= 0xFFFF0000LL) {
+    switch (pending.mnemonic.pseudo) {
+      case Pseudo::kNone:
+        break;
+      case Pseudo::kNop:
+        push({.op = Op::kSll, .rs = 0, .rt = 0, .rd = 0, .shamt = 0});
+        return Status::Ok();
+      case Pseudo::kMove: {
+        const auto rd = reg(1), rs = reg(2);
+        if (!rd || !rs) return Fail(line, "move: bad operands");
+        push({.op = Op::kOr, .rs = *rs, .rt = 0, .rd = *rd});
+        return Status::Ok();
+      }
+      case Pseudo::kNeg: {
+        const auto rd = reg(1), rs = reg(2);
+        if (!rd || !rs) return Fail(line, "neg: bad operands");
+        push({.op = Op::kSubu, .rs = 0, .rt = *rs, .rd = *rd});
+        return Status::Ok();
+      }
+      case Pseudo::kNot: {
+        const auto rd = reg(1), rs = reg(2);
+        if (!rd || !rs) return Fail(line, "not: bad operands");
+        push({.op = Op::kNor, .rs = *rs, .rt = 0, .rd = *rd});
+        return Status::Ok();
+      }
+      case Pseudo::kLi: {
+        const auto rd = reg(1);
+        const auto value = imm(2);
+        if (!rd || !value) return Fail(line, "li: bad operands");
+        const std::int64_t v = *value;
+        if (v >= -32768 && v <= 32767) {
+          push({.op = Op::kAddiu, .rs = 0, .rt = *rd,
+                .imm = static_cast<std::int32_t>(v)});
+        } else if (v >= 0 && v <= 0xFFFF) {
+          push({.op = Op::kOri, .rs = 0, .rt = *rd,
+                .imm = static_cast<std::int32_t>(v)});
+        } else if ((v & 0xFFFF) == 0 && v >= 0 && v <= 0xFFFF0000LL) {
+          push({.op = Op::kLui, .rt = *rd,
+                .imm = static_cast<std::int32_t>((v >> 16) & 0xFFFF)});
+        } else {
+          const auto uv = static_cast<std::uint32_t>(v);
+          push({.op = Op::kLui, .rt = *rd,
+                .imm = static_cast<std::int32_t>(uv >> 16)});
+          push({.op = Op::kOri, .rs = *rd, .rt = *rd,
+                .imm = static_cast<std::int32_t>(uv & 0xFFFFu)});
+        }
+        return Status::Ok();
+      }
+      case Pseudo::kLa: {
+        const auto rd = reg(1);
+        if (!rd || count != 3) return Fail(line, "la: bad operands");
+        const auto target = ResolveTarget(tokens[2]);
+        if (!target) {
+          return Fail(line, "la: unknown symbol " + std::string(tokens[2]));
+        }
         push({.op = Op::kLui, .rt = *rd,
-              .imm = static_cast<std::int32_t>((v >> 16) & 0xFFFF)});
-      } else {
-        const auto uv = static_cast<std::uint32_t>(v);
-        push({.op = Op::kLui, .rt = *rd,
-              .imm = static_cast<std::int32_t>(uv >> 16)});
+              .imm = static_cast<std::int32_t>(*target >> 16)});
         push({.op = Op::kOri, .rs = *rd, .rt = *rd,
-              .imm = static_cast<std::int32_t>(uv & 0xFFFFu)});
+              .imm = static_cast<std::int32_t>(*target & 0xFFFFu)});
+        return Status::Ok();
       }
-      return Status::Ok();
-    }
-    if (m == "la") {
-      const auto rd = reg(1);
-      if (!rd || tokens.size() != 3) return Fail(line, "la: bad operands");
-      const auto target = ResolveTarget(tokens[2]);
-      if (!target) return Fail(line, "la: unknown symbol " + tokens[2]);
-      push({.op = Op::kLui, .rt = *rd,
-            .imm = static_cast<std::int32_t>(*target >> 16)});
-      push({.op = Op::kOri, .rs = *rd, .rt = *rd,
-            .imm = static_cast<std::int32_t>(*target & 0xFFFFu)});
-      return Status::Ok();
-    }
-    if (m == "b") {
-      const auto target = ResolveTarget(tokens.at(1));
-      if (!target) return Fail(line, "b: unknown target");
-      push({.op = Op::kBeq, .rs = 0, .rt = 0,
-            .imm = branch_disp(*target, pc)});
-      return Status::Ok();
-    }
-    if (m == "bgt" || m == "blt" || m == "bge" || m == "ble") {
-      const auto ra = reg(1), rb = reg(2);
-      if (!ra || !rb || tokens.size() != 4) {
-        return Fail(line, m + ": bad operands");
+      case Pseudo::kB: {
+        if (count < 2) return Fail(line, "b: bad operands");
+        const auto target = ResolveTarget(tokens[1]);
+        if (!target) return Fail(line, "b: unknown target");
+        const std::int32_t disp = branch_disp(*target, pc);
+        if (!FitsSigned16(disp)) return Fail(line, "b: target out of range");
+        push({.op = Op::kBeq, .rs = 0, .rt = 0, .imm = disp});
+        return Status::Ok();
       }
-      const auto target = ResolveTarget(tokens[3]);
-      if (!target) return Fail(line, m + ": unknown target");
-      // slt $at, x, y; then branch on $at.
-      if (m == "bgt") {        // a > b  <=>  slt at, b, a ; bne at
-        push({.op = Op::kSlt, .rs = *rb, .rt = *ra, .rd = kAt});
-      } else if (m == "blt") { // a < b  <=>  slt at, a, b ; bne at
-        push({.op = Op::kSlt, .rs = *ra, .rt = *rb, .rd = kAt});
-      } else if (m == "bge") { // a >= b <=>  slt at, a, b ; beq at
-        push({.op = Op::kSlt, .rs = *ra, .rt = *rb, .rd = kAt});
-      } else {                 // a <= b <=>  slt at, b, a ; beq at
-        push({.op = Op::kSlt, .rs = *rb, .rt = *ra, .rd = kAt});
+      case Pseudo::kBgt: case Pseudo::kBlt: case Pseudo::kBge:
+      case Pseudo::kBle: {
+        const Pseudo p = pending.mnemonic.pseudo;
+        const auto ra = reg(1), rb = reg(2);
+        if (!ra || !rb || count != 4) {
+          return Fail(line, std::string(m) + ": bad operands");
+        }
+        const auto target = ResolveTarget(tokens[3]);
+        if (!target) return Fail(line, std::string(m) + ": unknown target");
+        const std::int32_t disp = branch_disp(*target, pc + 4);
+        if (!FitsSigned16(disp)) {
+          return Fail(line, std::string(m) + ": target out of range");
+        }
+        // slt $at, x, y; then branch on $at.
+        if (p == Pseudo::kBgt) {        // a > b  <=>  slt at, b, a ; bne at
+          push({.op = Op::kSlt, .rs = *rb, .rt = *ra, .rd = kAt});
+        } else if (p == Pseudo::kBlt) { // a < b  <=>  slt at, a, b ; bne at
+          push({.op = Op::kSlt, .rs = *ra, .rt = *rb, .rd = kAt});
+        } else if (p == Pseudo::kBge) { // a >= b <=>  slt at, a, b ; beq at
+          push({.op = Op::kSlt, .rs = *ra, .rt = *rb, .rd = kAt});
+        } else {                        // a <= b <=>  slt at, b, a ; beq at
+          push({.op = Op::kSlt, .rs = *rb, .rt = *ra, .rd = kAt});
+        }
+        const Op branch =
+            (p == Pseudo::kBgt || p == Pseudo::kBlt) ? Op::kBne : Op::kBeq;
+        push({.op = branch, .rs = kAt, .rt = 0, .imm = disp});
+        return Status::Ok();
       }
-      const Op branch = (m == "bgt" || m == "blt") ? Op::kBne : Op::kBeq;
-      push({.op = branch, .rs = kAt, .rt = 0,
-            .imm = branch_disp(*target, pc + 4)});
-      return Status::Ok();
     }
 
     // ---- real instructions ----
-    Op op = Op::kInvalid;
-    for (int i = 0; i < static_cast<int>(Op::kInvalid); ++i) {
-      if (m == Mnemonic(static_cast<Op>(i))) {
-        op = static_cast<Op>(i);
-        break;
-      }
+    const Op op = pending.mnemonic.op;
+    if (op == Op::kInvalid) {
+      return Fail(line, "unknown mnemonic '" + std::string(m) + "'");
     }
-    if (op == Op::kInvalid) return Fail(line, "unknown mnemonic '" + m + "'");
 
     Instr instr;
     instr.op = op;
@@ -484,22 +638,34 @@ class Assembler {
       }
       case Op::kBeq: case Op::kBne: {
         const auto rs = reg(1), rt = reg(2);
-        if (!rs || !rt || tokens.size() != 4) {
+        if (!rs || !rt || count != 4) {
           return Fail(line, "branch: bad operands");
         }
         const auto target = ResolveTarget(tokens[3]);
-        if (!target) return Fail(line, "branch: unknown target " + tokens[3]);
+        if (!target) {
+          return Fail(line,
+                      "branch: unknown target " + std::string(tokens[3]));
+        }
         instr.rs = *rs; instr.rt = *rt;
         instr.imm = branch_disp(*target, pc);
+        if (!FitsSigned16(instr.imm)) {
+          return Fail(line, "branch: target out of range");
+        }
         break;
       }
       case Op::kBlez: case Op::kBgtz: case Op::kBltz: case Op::kBgez: {
         const auto rs = reg(1);
-        if (!rs || tokens.size() != 3) return Fail(line, "branch: bad operands");
+        if (!rs || count != 3) return Fail(line, "branch: bad operands");
         const auto target = ResolveTarget(tokens[2]);
-        if (!target) return Fail(line, "branch: unknown target " + tokens[2]);
+        if (!target) {
+          return Fail(line,
+                      "branch: unknown target " + std::string(tokens[2]));
+        }
         instr.rs = *rs;
         instr.imm = branch_disp(*target, pc);
+        if (!FitsSigned16(instr.imm)) {
+          return Fail(line, "branch: target out of range");
+        }
         break;
       }
       case Op::kAddi: case Op::kAddiu: case Op::kSlti: case Op::kSltiu:
@@ -509,6 +675,12 @@ class Assembler {
         if (!rt || !rs || !value) return Fail(line, "imm: bad operands");
         instr.rt = *rt; instr.rs = *rs;
         instr.imm = static_cast<std::int32_t>(*value);
+        // andi/ori/xori keep the low 16 bits; the others sign-extend.
+        const bool logical =
+            op == Op::kAndi || op == Op::kOri || op == Op::kXori;
+        if (!logical && !FitsSigned16(instr.imm)) {
+          return Fail(line, "imm: immediate out of range");
+        }
         break;
       }
       case Op::kLui: {
@@ -522,15 +694,21 @@ class Assembler {
       case Op::kLb: case Op::kLh: case Op::kLw: case Op::kLbu: case Op::kLhu:
       case Op::kSb: case Op::kSh: case Op::kSw: {
         const auto rt = reg(1);
-        if (!rt || tokens.size() != 3) return Fail(line, "mem: bad operands");
+        if (!rt || count != 3) return Fail(line, "mem: bad operands");
         const auto mem = ParseMem(tokens[2]);
         if (!mem) return Fail(line, "mem: bad address operand");
+        if (!FitsSigned16(mem->offset)) {
+          return Fail(line, "mem: offset out of range");
+        }
         instr.rt = *rt; instr.rs = mem->base; instr.imm = mem->offset;
         break;
       }
       case Op::kJ: case Op::kJal: {
-        const auto target = ResolveTarget(tokens.at(1));
-        if (!target) return Fail(line, "jump: unknown target " + tokens[1]);
+        if (count < 2) return Fail(line, "jump: bad operands");
+        const auto target = ResolveTarget(tokens[1]);
+        if (!target) {
+          return Fail(line, "jump: unknown target " + std::string(tokens[1]));
+        }
         instr.target = (*target >> 2) & 0x03FF'FFFFu;
         break;
       }
@@ -544,7 +722,8 @@ class Assembler {
   bool in_text_ = true;
   std::uint32_t text_words_ = 0;
   std::vector<std::uint8_t> data_;
-  std::map<std::string, std::uint32_t> symbols_;
+  std::unordered_map<std::string_view, std::uint32_t> symbols_;
+  std::vector<std::string_view> tokens_;  ///< current line, reused
   std::vector<PendingInstr> pending_instrs_;
   std::vector<PendingDataWord> pending_words_;
 };

@@ -88,23 +88,24 @@ constexpr bool ImmIsSigned(Format format) {
          format == Format::kBranch1 || format == Format::kBranch2;
 }
 
-std::optional<Op> DecodeRType(std::uint8_t funct) {
-  for (int i = 0; i <= static_cast<int>(Op::kSltu); ++i) {
-    const Op op = static_cast<Op>(i);
-    const OpInfo info = Info(op);
-    if (info.opcode == 0x00 && info.funct == funct) return op;
+/// Decode table, built at compile time from Info: for R-type, the op each
+/// funct field of primary opcode 0 names; otherwise the op each primary
+/// opcode above 1 names (opcode 1 is REGIMM, decoded from rt).  kInvalid
+/// marks an encoding outside the subset; where two ops share an encoding
+/// the first in enum order wins.
+constexpr std::array<Op, 64> DecodeTable(bool r_type) {
+  std::array<Op, 64> ops{};
+  ops.fill(Op::kInvalid);
+  for (int i = static_cast<int>(Op::kInvalid) - 1; i >= 0; --i) {
+    const OpInfo info = Info(static_cast<Op>(i));
+    if (r_type ? info.opcode == 0x00 : info.opcode > 0x01) {
+      ops[r_type ? info.funct : info.opcode] = static_cast<Op>(i);
+    }
   }
-  return std::nullopt;
+  return ops;
 }
-
-std::optional<Op> DecodePrimary(std::uint8_t opcode) {
-  for (int i = 0; i < static_cast<int>(Op::kInvalid); ++i) {
-    const Op op = static_cast<Op>(i);
-    const OpInfo info = Info(op);
-    if (info.opcode == opcode && opcode != 0x00 && opcode != 0x01) return op;
-  }
-  return std::nullopt;
-}
+constexpr std::array<Op, 64> kRTypeOps = DecodeTable(true);
+constexpr std::array<Op, 64> kPrimaryOps = DecodeTable(false);
 
 }  // namespace
 
@@ -226,10 +227,8 @@ std::optional<Instr> Decode(std::uint32_t word) noexcept {
   const std::uint32_t imm16 = Bits(word, 0, 16);
 
   if (opcode == 0x00) {
-    const auto funct = static_cast<std::uint8_t>(Bits(word, 0, 6));
-    const auto op = DecodeRType(funct);
-    if (!op) return std::nullopt;
-    instr.op = *op;
+    instr.op = kRTypeOps[Bits(word, 0, 6)];
+    if (instr.op == Op::kInvalid) return std::nullopt;
     // Normalize unused fields so Encode(Decode(w)) == w round-trips only for
     // canonical encodings; tests cover this.
     return instr;
@@ -243,10 +242,9 @@ std::optional<Instr> Decode(std::uint32_t word) noexcept {
     instr.imm = SignExtend(imm16, 16);
     return instr;
   }
-  const auto op = DecodePrimary(opcode);
-  if (!op) return std::nullopt;
-  instr.op = *op;
-  const OpInfo info = Info(*op);
+  instr.op = kPrimaryOps[opcode];
+  if (instr.op == Op::kInvalid) return std::nullopt;
+  const OpInfo info = Info(instr.op);
   if (info.format == Format::kJump) {
     instr.rs = instr.rt = instr.rd = instr.shamt = 0;
     instr.target = Bits(word, 0, 26);

@@ -1,6 +1,6 @@
 // Lifter / CFG recovery tests: block discovery, SSA construction, the
-// indirect-jump failure mode, function discovery through jal, and profile
-// annotation.
+// indirect-jump failure mode, function discovery through jal, profile
+// annotation, and recovery's edge cases with their exact diagnostics.
 #include "decomp/lifter.hpp"
 
 #include <gtest/gtest.h>
@@ -18,6 +18,16 @@ mips::SoftBinary Asm(const std::string& source) {
   EXPECT_TRUE(binary.ok()) << binary.status().message();
   return std::move(binary).take();
 }
+
+/// Recovery failures are pinned by kind and full message.
+void ExpectLiftError(const Result<ir::Module>& module, ErrorKind kind,
+                     const std::string& message) {
+  ASSERT_FALSE(module.ok());
+  EXPECT_EQ(module.status().kind(), kind);
+  EXPECT_EQ(module.status().message(), message);
+}
+
+std::uint32_t Word(const mips::Instr& instr) { return mips::Encode(instr); }
 
 TEST(Lifter, StraightLineCode) {
   const auto binary = Asm(R"(
@@ -84,10 +94,8 @@ TEST(Lifter, IndirectJumpFailsRecovery) {
       la $t0, main
       jr $t0
   )");
-  auto module = Lift(binary);
-  ASSERT_FALSE(module.ok());
-  EXPECT_EQ(module.status().kind(), ErrorKind::kIndirectJump);
-  EXPECT_NE(module.status().message().find("jr"), std::string::npos);
+  ExpectLiftError(Lift(binary), ErrorKind::kIndirectJump,
+                  "unresolvable indirect jump (jr $t0) at 0x400008");
 }
 
 TEST(Lifter, JalrFailsRecovery) {
@@ -97,9 +105,8 @@ TEST(Lifter, JalrFailsRecovery) {
       jalr $t0
       jr $ra
   )");
-  auto module = Lift(binary);
-  ASSERT_FALSE(module.ok());
-  EXPECT_EQ(module.status().kind(), ErrorKind::kIndirectJump);
+  ExpectLiftError(Lift(binary), ErrorKind::kIndirectJump,
+                  "unresolvable indirect call (jalr) at 0x400008");
 }
 
 TEST(Lifter, DiscoversCalleesThroughJal) {
@@ -135,9 +142,8 @@ TEST(Lifter, DiscoversCalleesThroughJal) {
 TEST(Lifter, MalformedBinaryFails) {
   mips::SoftBinary binary;
   binary.text = {0xFFFFFFFFu};  // undecodable
-  auto module = Lift(binary);
-  ASSERT_FALSE(module.ok());
-  EXPECT_EQ(module.status().kind(), ErrorKind::kMalformedBinary);
+  ExpectLiftError(Lift(binary), ErrorKind::kMalformedBinary,
+                  "undecodable instruction at 0x400000");
 }
 
 TEST(Lifter, BranchOutsideTextFails) {
@@ -145,9 +151,12 @@ TEST(Lifter, BranchOutsideTextFails) {
   // j 0x0800000 (far outside the one-instruction text segment)
   binary.text = {mips::Encode(
       {.op = mips::Op::kJ, .target = 0x0800000 >> 2})};
-  auto module = Lift(binary);
-  ASSERT_FALSE(module.ok());
-  EXPECT_EQ(module.status().kind(), ErrorKind::kMalformedBinary);
+  ExpectLiftError(Lift(binary), ErrorKind::kMalformedBinary,
+                  "control flows outside text at 0x800000");
+  // A call target is recovered as a function of its own, and fails there.
+  ExpectLiftError(Lift(Asm("main:\n jal 0x500000\n jr $ra\n")),
+                  ErrorKind::kMalformedBinary,
+                  "control flows outside text at 0x500000");
 }
 
 TEST(Lifter, ProfileAnnotations) {
@@ -196,6 +205,94 @@ TEST(Lifter, HiLoRegistersFlowThroughMultDiv) {
   auto lifted = Lift(binary);
   ASSERT_TRUE(lifted.ok());
   EXPECT_TRUE(ir::Verify(lifted.value()).ok());
+}
+
+// ---------------------------------------------------------------------------
+// CFG recovery edge cases, pinned by exact kind and message (or exact IR).
+// ---------------------------------------------------------------------------
+TEST(CfgRecovery, FallthroughOffTheEndOfText) {
+  ExpectLiftError(Lift(Asm("main:\n li $t0, 1\n addu $v0, $t0, $t0\n")),
+                  ErrorKind::kMalformedBinary,
+                  "control flows outside text at 0x400008");
+}
+
+TEST(CfgRecovery, FirstErrorFollowsBreadthFirstOrder) {
+  // The branch target (0x40000c) is visited before the fallthrough
+  // (0x400004), so its error is the one reported.
+  mips::SoftBinary binary;
+  binary.text = {Word({.op = mips::Op::kBeq, .rs = 4, .rt = 5, .imm = 2}),
+                 Word({.op = mips::Op::kJr, .rs = mips::kT0}),
+                 Word({.op = mips::Op::kSll}), 0xFFFFFFFFu};
+  ExpectLiftError(Lift(binary), ErrorKind::kMalformedBinary,
+                  "undecodable instruction at 0x40000c");
+}
+
+TEST(CfgRecovery, BeqZeroZeroIsUnconditional) {
+  // The word after `beq $0,$0` is never reached, so it may be garbage.
+  mips::SoftBinary binary;
+  binary.text = {Word({.op = mips::Op::kBeq, .rs = 0, .rt = 0, .imm = 1}),
+                 0xFFFFFFFFu, Word({.op = mips::Op::kJr, .rs = mips::kRa})};
+  auto module = Lift(binary);
+  ASSERT_TRUE(module.ok()) << module.status().message();
+  EXPECT_EQ(ir::Print(module.value()),
+            "func func_0x400000 @0x400000 {\n"
+            "bb_400000:\n"
+            "  %0:i32 = input r2\n"
+            "  br bb_400008\n"
+            "bb_400008:\n"
+            "  ret %0\n"
+            "}\n\n");
+}
+
+TEST(CfgRecovery, BneSameRegisterIsNeverTaken) {
+  // The target of `bne $r,$r` is never reached, so it may be garbage.
+  mips::SoftBinary binary;
+  binary.text = {Word({.op = mips::Op::kBne, .rs = 8, .rt = 8, .imm = 1}),
+                 Word({.op = mips::Op::kJr, .rs = mips::kRa}), 0xFFFFFFFFu};
+  auto module = Lift(binary);
+  ASSERT_TRUE(module.ok()) << module.status().message();
+  EXPECT_EQ(ir::Print(module.value()),
+            "func func_0x400000 @0x400000 {\n"
+            "bb_400000:\n"
+            "  %0:i32 = input r2\n"
+            "  br bb_400004\n"
+            "bb_400004:\n"
+            "  ret %0\n"
+            "}\n\n");
+}
+
+TEST(CfgRecovery, BranchWhoseSuccessorsAreOneBlock) {
+  auto module = Lift(Asm(R"(
+    main:
+      li $v0, 3
+      beq $a0, $a1, next
+    next:
+      addiu $v0, $v0, 1
+      jr $ra
+  )"));
+  ASSERT_TRUE(module.ok()) << module.status().message();
+  EXPECT_TRUE(ir::Verify(module.value()).ok());
+  EXPECT_EQ(ir::Print(module.value()),
+            "func main @0x400000 {\n"
+            "bb_400000:\n"
+            "  %0:i32 = input r4\n"
+            "  %1:i32 = input r5\n"
+            "  %2:i32 = add 0, 3\n"
+            "  %3:i1 = eq %0, %1\n"
+            "  condbr %3, bb_400008, bb_400008\n"
+            "bb_400008:\n"
+            "  %5:i32 = add %2, 1\n"
+            "  ret %5\n"
+            "}\n\n");
+}
+
+TEST(CfgRecovery, LiftAtRootOutsideText) {
+  const auto binary = Asm("main:\n jr $ra\n");
+  for (const std::uint32_t root : {0x00400100u, 0x10000000u, 0x00400002u}) {
+    SCOPED_TRACE(root);
+    ExpectLiftError(LiftAt(binary, root), ErrorKind::kMalformedBinary,
+                    "LiftAt: root entry outside text segment");
+  }
 }
 
 TEST(TrivialPhis, RemovedAfterLifting) {
