@@ -19,7 +19,9 @@
 #include "mips/simulator.hpp"
 #include "suite/runner.hpp"
 #include "suite/suite.hpp"
+#include "synth/vhdl.hpp"
 #include "testing_support.hpp"
+#include "toolchain/toolchain.hpp"
 
 namespace b2h {
 namespace {
@@ -347,6 +349,95 @@ TEST(IrDigest, PrintedIrMatchesCheckedInTable) {
   EXPECT_TRUE(differing.empty())
       << "printed IR differs from the checked-in digest for:\n"
       << differing << "If the IR change is intended, replace kIrDigests with:\n"
+      << table;
+}
+
+
+// ---------------------------------------------------------------------------
+// VHDL digests: the RT-level VHDL that synth::EmitVhdl renders for every
+// region Toolchain::Run moves to hardware, for each suite benchmark at -O1
+// on the default platform (what binary_partitioner writes), hashed and
+// compared against a checked-in table.  A benchmark whose CDFG recovery
+// fails is recorded as such.  Synthesis or VHDL changes that claim "same
+// hardware" must leave every row unchanged.
+// ---------------------------------------------------------------------------
+
+struct VhdlDigest {
+  const char* benchmark;
+  bool cdfg_failure;
+  std::size_t regions;  ///< selected hardware regions
+  std::uint64_t fnv;    ///< over their VHDL, concatenated in selection order
+};
+
+// clang-format off
+constexpr VhdlDigest kVhdlDigests[] = {
+    {"autcor00", false, 3, 0x5783e8cb51e0d45dull},
+    {"conven00", false, 2, 0x6d8c3ed9c1c2bbf7ull},
+    {"rgbcmy01", false, 2, 0x262ada70f874d800ull},
+    {"idct01", false, 3, 0xe415a3c12e9d95a1ull},
+    {"bitmnp01", false, 2, 0x4311ed8967517fcdull},
+    {"switch01", true, 0, 0x0000000000000000ull},
+    {"state02", true, 0, 0x0000000000000000ull},
+    {"crc", false, 2, 0x101fa539f66ae789ull},
+    {"bcnt", false, 2, 0xd66025d92f647dfbull},
+    {"blit", false, 2, 0x99655b3fdcad35f3ull},
+    {"fir", false, 4, 0x930bf0ea32d0541aull},
+    {"engine", false, 3, 0x00c18c0453d112e6ull},
+    {"g3fax", false, 3, 0x3e2d957363e6e589ull},
+    {"adpcm_enc", false, 2, 0x734781e0f0cd68e0ull},
+    {"adpcm_dec", false, 2, 0xb38323661facacfcull},
+    {"g721_quan", false, 2, 0x25b7344b14f46e1cull},
+    {"jpeg_dct", false, 3, 0xad19d961c213544full},
+    {"brev", false, 2, 0x06bd04f8150d58acull},
+    {"matmul", false, 3, 0x690f28ab009c2000ull},
+    {"checksum", false, 2, 0x7a837dcf988aabdfull},
+};
+// clang-format on
+
+TEST(VhdlDigest, SuiteMatchesCheckedInTable) {
+  std::string differing;
+  std::string table;
+  std::size_t rows = 0;
+  const Toolchain toolchain;
+  for (const suite::Benchmark& bench : suite::AllBenchmarks()) {
+    auto binary = suite::BuildBinary(bench, 1);
+    ASSERT_TRUE(binary.ok()) << bench.name << ": " << binary.status().message();
+    auto run = toolchain.Run(
+        std::make_shared<const mips::SoftBinary>(std::move(binary).take()),
+        bench.name);
+    VhdlDigest actual{bench.name.c_str(), !run.ok(), 0, 0};
+    if (run.ok()) {
+      std::string vhdl;
+      for (const auto& kernel : run.value().partition.hw) {
+        vhdl += synth::EmitVhdl(kernel.synthesized.region,
+                                kernel.synthesized.schedule);
+      }
+      actual.regions = run.value().partition.hw.size();
+      actual.fnv = Fnv1a64(vhdl);
+    }
+    const VhdlDigest* expected = nullptr;
+    for (const VhdlDigest& digest : kVhdlDigests) {
+      if (bench.name == digest.benchmark) expected = &digest;
+    }
+    if (expected == nullptr || expected->cdfg_failure != actual.cdfg_failure ||
+        expected->regions != actual.regions || expected->fnv != actual.fnv) {
+      differing += "  " + bench.name + "\n";
+    }
+    char row[160];
+    std::snprintf(row, sizeof row, "    {\"%s\", %s, %zu, 0x%016llxull},\n",
+                  actual.benchmark, actual.cdfg_failure ? "true" : "false",
+                  actual.regions, static_cast<unsigned long long>(actual.fnv));
+    table += row;
+    ++rows;
+  }
+  if (rows != std::size(kVhdlDigests)) {
+    differing += "  (table has " + std::to_string(std::size(kVhdlDigests)) +
+                 " rows, the suite " + std::to_string(rows) + ")\n";
+  }
+  EXPECT_TRUE(differing.empty())
+      << "emitted VHDL differs from the checked-in digest for:\n"
+      << differing
+      << "If the hardware change is intended, replace kVhdlDigests with:\n"
       << table;
 }
 
