@@ -23,6 +23,7 @@
 #include "mips/assembler.hpp"
 #include "suite/runner.hpp"
 #include "suite/suite.hpp"
+#include "synth/vhdl.hpp"
 #include "toolchain/toolchain.hpp"
 
 using namespace b2h;
@@ -143,7 +144,8 @@ int main(int argc, char** argv) {
          ("hw_" + SafeFileName(kernel.synthesized.region.name) + ".vhd"))
             .string();
     std::ofstream out(path);
-    out << kernel.synthesized.vhdl;
+    out << synth::EmitVhdl(kernel.synthesized.region,
+                           kernel.synthesized.schedule);
     printf("wrote %s (%.0f gates, %s)\n", path.c_str(),
            kernel.synthesized.area.total_gates,
            kernel.arrays_resident ? "arrays resident in BRAM"

@@ -8,8 +8,10 @@
 // Build & run:  ./build/examples/quickstart
 #include <cstdio>
 #include <memory>
+#include <string>
 
 #include "minicc/codegen.hpp"
+#include "synth/vhdl.hpp"
 #include "toolchain/toolchain.hpp"
 
 using namespace b2h;
@@ -78,7 +80,8 @@ int main() {
     const auto& kernel = run.value().partition.hw.front();
     printf("--- VHDL for %s (first 25 lines) ---\n",
            kernel.synthesized.region.name.c_str());
-    const std::string& vhdl = kernel.synthesized.vhdl;
+    const std::string vhdl = synth::EmitVhdl(kernel.synthesized.region,
+                                             kernel.synthesized.schedule);
     std::size_t pos = 0;
     for (int line = 0; line < 25 && pos != std::string::npos; ++line) {
       const std::size_t end = vhdl.find('\n', pos);

@@ -20,6 +20,7 @@
 #include "support/guest_memory.hpp"
 #include "synth/rtl_sim.hpp"
 #include "synth/synth.hpp"
+#include "synth/vhdl.hpp"
 
 using namespace b2h;
 
@@ -103,8 +104,9 @@ int main(int argc, char** argv) {
            mkdir_error ? mkdir_error.message().c_str() : "");
     return 1;
   }
-  out << synthesized.value().vhdl;
-  printf("VHDL written to %s (%zu bytes)\n", path.c_str(),
-         synthesized.value().vhdl.size());
+  const std::string vhdl = synth::EmitVhdl(synthesized.value().region,
+                                           synthesized.value().schedule);
+  out << vhdl;
+  printf("VHDL written to %s (%zu bytes)\n", path.c_str(), vhdl.size());
   return result.return_value == run.return_value ? 0 : 1;
 }

@@ -205,7 +205,6 @@ void EncodePartitionResult(BinaryWriter& out,
     out.Str(region.synthesized.region.name);
     out.U64(region.synthesized.hw_cycles);
     out.F64(region.synthesized.clock_mhz);
-    out.Str(region.synthesized.vhdl);
     EncodeArea(out, region.synthesized.area);
   }
   out.U64(result.rejected.size());
@@ -241,12 +240,12 @@ bool DecodePartitionResult(BinaryReader& in,
       id = static_cast<int>(value);
     }
     // Hydrated regions carry no live IR: function/loop/block pointers stay
-    // null, the schedule stays empty.  Name, metrics, area, and VHDL are
-    // everything downstream reporting consumes.
+    // null, the schedule stays empty.  Name, metrics and area are everything
+    // downstream reporting consumes.  VHDL is rendered by synth::EmitVhdl
+    // from a live result only; a hydrated one has no IR to render it from.
     if (!in.Str(&region.synthesized.region.name) ||
         !in.U64(&region.synthesized.hw_cycles) ||
         !in.F64(&region.synthesized.clock_mhz) ||
-        !in.Str(&region.synthesized.vhdl) ||
         !DecodeArea(in, &region.synthesized.area)) {
       return false;
     }
@@ -351,7 +350,6 @@ std::string HashPartitionOptions(const partition::PartitionOptions& options) {
       .U64(schedule.mem_ports)
       .U64(schedule.max_mults)
       .U64(schedule.max_divs)
-      .U64(schedule.enable_pipelining ? 1 : 0)
       .U64(schedule.enable_chaining ? 1 : 0);
   const auto& library = options.synth.library;
   hasher.F64(library.gates_per_lut)
@@ -359,7 +357,6 @@ std::string HashPartitionOptions(const partition::PartitionOptions& options) {
       .F64(library.gates_per_mult18)
       .F64(library.add_base_ns)
       .F64(library.mul_ns);
-  hasher.U64(options.synth.emit_vhdl ? 1 : 0);
   return hasher.Hex();
 }
 

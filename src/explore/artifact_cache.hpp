@@ -28,11 +28,12 @@
 //     the Explorer rebuilds the program from the cached profile — skipping
 //     the simulation — only when a partition key actually misses.
 //   * a partition entry carries the status, the full AppEstimate, and the
-//     report-relevant PartitionResult fields (region names/metrics/VHDL,
+//     report-relevant PartitionResult fields (region names/metrics/area,
 //     rejection log, totals).  Hydrated SelectedRegions have null IR
 //     pointers and an empty schedule; everything the Explorer and its
 //     reports consume is present and bit-exact (doubles round-trip by bit
-//     pattern).
+//     pattern).  VHDL is not stored: synth::EmitVhdl renders it from a
+//     live result, and a hydrated one has no IR to render it from.
 //
 // Cached *failures* (faulting binaries, CDFG recovery) persist too —
 // `status` carries the error and the payload pointers stay null — so a
@@ -124,7 +125,7 @@ struct DecompileWork {
 /// Partition + estimate for one (decompile key, platform, strategy,
 /// objective) key.  `program` keeps the IR the partition points into
 /// alive; on disk-hydrated artifacts it is null and `partition.hw` carries
-/// names/metrics/VHDL without live IR pointers.  As above, a failed
+/// names/metrics/area without live IR pointers.  As above, a failed
 /// partition is cached with its `status`.
 struct PartitionArtifact {
   Status status;

@@ -42,7 +42,7 @@ namespace b2h::explore {
 /// every stale entry self-invalidates (it lives in a different v<N> tree
 /// AND fails the header check) instead of replaying pre-change results.
 /// The CI artifact-cache key embeds this number for the same reason.
-inline constexpr std::uint32_t kCacheSchemaVersion = 1;
+inline constexpr std::uint32_t kCacheSchemaVersion = 2;
 
 /// Entry kinds (directory shards).
 inline constexpr std::string_view kDecompileKind = "de";

@@ -197,12 +197,12 @@ std::optional<std::int64_t> ParseInt(std::string_view text) {
 }
 
 /// True when `value` fits a signed 16-bit immediate field.
-bool FitsSigned16(std::int32_t value) {
+bool FitsSigned16(std::int64_t value) {
   return value >= -32768 && value <= 32767;
 }
 
 struct MemOperand {
-  std::int32_t offset = 0;
+  std::int64_t offset = 0;
   std::uint8_t base = 0;
 };
 
@@ -220,7 +220,7 @@ std::optional<MemOperand> ParseMem(std::string_view text) {
   } else {
     const auto offset = ParseInt(offset_text);
     if (!offset) return std::nullopt;
-    mem.offset = static_cast<std::int32_t>(*offset);
+    mem.offset = *offset;
   }
   const auto reg = ParseReg(text.substr(open + 1, close - open - 1));
   if (!reg) return std::nullopt;
@@ -240,7 +240,7 @@ struct PendingInstr {
   std::size_t count = 0;
   std::uint32_t address = 0;
   int line = 0;
-  int words = 1;  // pseudo-instructions may expand to 2 words
+  std::size_t words = 1;  // pseudo-instructions may expand to 2 words
 };
 
 struct PendingDataWord {
@@ -333,7 +333,9 @@ class Assembler {
         if (!DataFits(operands)) return DataTooLarge(line);
         for (std::size_t i = 1; i <= operands; ++i) {
           const auto value = ParseInt(operand(i));
-          if (!value) return Fail(line, "bad .byte value");
+          if (!value || *value < -128 || *value > 255) {
+            return Fail(line, "bad .byte value");
+          }
           data_.push_back(static_cast<std::uint8_t>(*value & 0xFF));
         }
         return Status::Ok();
@@ -386,21 +388,19 @@ class Assembler {
   }
 
   /// Number of machine words a (possibly pseudo) instruction expands to.
-  static int WordCount(const PendingInstr& pending) {
+  static std::size_t WordCount(const PendingInstr& pending) {
     switch (pending.mnemonic.pseudo) {
       case Pseudo::kLa:
         return 2;  // lui + ori
       case Pseudo::kLi:
-        if (pending.count == 3) {
-          if (auto value = ParseInt(pending.tokens[2])) {
-            const std::int64_t v = *value;
-            if (v >= -32768 && v <= 32767) return 1;          // addiu
-            if (v >= 0 && v <= 0xFFFF) return 1;              // ori
-            if ((v & 0xFFFF) == 0 && v >= 0 && v <= 0xFFFF0000LL) return 1;
-            return 2;                                         // lui + ori
-          }
+        // Pass 2 rejects an `li` whose operand count is not 3.
+        if (auto value = ParseInt(pending.tokens[2])) {
+          const std::int64_t v = *value;
+          if (v >= -32768 && v <= 32767) return 1;          // addiu
+          if (v >= 0 && v <= 0xFFFF) return 1;              // ori
+          if ((v & 0xFFFF) == 0 && v >= 0 && v <= 0xFFFF0000LL) return 1;
         }
-        return 2;
+        return 2;                                           // lui + ori
       case Pseudo::kBgt: case Pseudo::kBlt: case Pseudo::kBge:
       case Pseudo::kBle:
         return 2;
@@ -413,9 +413,13 @@ class Assembler {
     SoftBinary binary;
     binary.text.reserve(text_words_);
     for (const PendingInstr& pending : pending_instrs_) {
-      if (Status status = EmitInstr(pending, binary); !status.ok()) {
-        return status;
+      const std::size_t before = binary.text.size();
+      Status status = EmitInstr(pending, binary);
+      if (status.ok() && binary.text.size() - before != pending.words) {
+        // Every later label was placed by WordCount: it would be off.
+        status = Fail(pending.line, "internal error: size differs from pass 1");
       }
+      if (!status.ok()) return status;
     }
     for (const PendingDataWord& word : pending_words_) {
       std::uint32_t value = word.value;
@@ -502,7 +506,7 @@ class Assembler {
       case Pseudo::kLi: {
         const auto rd = reg(1);
         const auto value = imm(2);
-        if (!rd || !value) return Fail(line, "li: bad operands");
+        if (!rd || !value || count != 3) return Fail(line, "li: bad operands");
         const std::int64_t v = *value;
         if (v >= -32768 && v <= 32767) {
           push({.op = Op::kAddiu, .rs = 0, .rt = *rd,
@@ -675,10 +679,10 @@ class Assembler {
         if (!rt || !rs || !value) return Fail(line, "imm: bad operands");
         instr.rt = *rt; instr.rs = *rs;
         instr.imm = static_cast<std::int32_t>(*value);
-        // andi/ori/xori keep the low 16 bits; the others sign-extend.
+        // andi/ori/xori zero-extend their immediate; the others sign-extend.
         const bool logical =
             op == Op::kAndi || op == Op::kOri || op == Op::kXori;
-        if (!logical && !FitsSigned16(instr.imm)) {
+        if (logical ? *value < 0 || *value > 0xFFFF : !FitsSigned16(*value)) {
           return Fail(line, "imm: immediate out of range");
         }
         break;
@@ -700,7 +704,8 @@ class Assembler {
         if (!FitsSigned16(mem->offset)) {
           return Fail(line, "mem: offset out of range");
         }
-        instr.rt = *rt; instr.rs = mem->base; instr.imm = mem->offset;
+        instr.rt = *rt; instr.rs = mem->base;
+        instr.imm = static_cast<std::int32_t>(mem->offset);
         break;
       }
       case Op::kJ: case Op::kJal: {

@@ -169,8 +169,7 @@ RegionSchedule ScheduleRegion(const HwRegion& region,
   }
 
   // Loop pipelining for a single-block self-loop region.
-  if (options.enable_pipelining && region.loop != nullptr &&
-      region.loop->blocks.size() == 1) {
+  if (region.loop != nullptr && region.loop->blocks.size() == 1) {
     const ir::Block* body = region.loop->header;
     const BlockSchedule* bs = schedule.ForBlock(body);
     if (bs != nullptr) {

@@ -23,7 +23,6 @@ struct ScheduleOptions {
   unsigned mem_ports = 2;   ///< dual-port BRAM
   unsigned max_mults = 4;   ///< MULT18x18 budget per step
   unsigned max_divs = 1;
-  bool enable_pipelining = true;
   bool enable_chaining = true;
 };
 

@@ -4,23 +4,22 @@
 // transfer-level VHDL.  We use Xilinx ISE to synthesize the VHDL to a
 // netlist" — here the ISE step is replaced by the calibrated area/timing
 // model, and an executable RTL model is produced for verification).
+// Partitioning decides on schedule, area and clock alone; the VHDL text is
+// rendered on demand by synth::EmitVhdl (synth/vhdl.hpp) from a result's
+// live region and schedule.
 #pragma once
-
-#include <string>
 
 #include "decomp/alias.hpp"
 #include "synth/area.hpp"
 #include "synth/hw_region.hpp"
 #include "synth/rtl_sim.hpp"
 #include "synth/schedule.hpp"
-#include "synth/vhdl.hpp"
 
 namespace b2h::synth {
 
 struct SynthOptions {
   ScheduleOptions schedule;
   ResourceLibrary library;
-  bool emit_vhdl = true;
 };
 
 struct SynthesizedRegion {
@@ -29,7 +28,6 @@ struct SynthesizedRegion {
   AreaReport area;
   double clock_mhz = 0.0;       ///< achievable clock (capped at target)
   std::uint64_t hw_cycles = 0;  ///< profile-weighted execution cycles
-  std::string vhdl;
 
   [[nodiscard]] double hw_time_seconds() const {
     return clock_mhz <= 0.0

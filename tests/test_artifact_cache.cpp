@@ -62,7 +62,6 @@ std::shared_ptr<PartitionArtifact> MakePartitionArtifact() {
   region.synthesized.region.name = "loop_0x400";
   region.synthesized.hw_cycles = 111;
   region.synthesized.clock_mhz = 87.5;
-  region.synthesized.vhdl = "-- entity loop_0x400\n";
   region.synthesized.area.registers = 12;
   region.synthesized.area.total_gates = 4200.25;
   region.synthesized.area.units.push_back(
@@ -140,7 +139,6 @@ TEST(ArtifactCacheDisk, PartitionRoundTripPreservesReportFields) {
   EXPECT_EQ(region.synthesized.region.name, "loop_0x400");
   EXPECT_EQ(region.synthesized.region.function, nullptr);  // no live IR
   EXPECT_EQ(region.synthesized.clock_mhz, 87.5);
-  EXPECT_EQ(region.synthesized.vhdl, "-- entity loop_0x400\n");
   EXPECT_EQ(region.synthesized.area.total_gates, 4200.25);
   ASSERT_EQ(region.synthesized.area.units.size(), 1u);
   EXPECT_EQ(region.synthesized.area.units[0].cls, synth::FuClass::kMul);

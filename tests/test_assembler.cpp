@@ -260,6 +260,19 @@ TEST(Assembler, Errors) {
       {"main:\n b 0x900000\n", "asm:2: b: target out of range"},
       {"main:\n blt $t0, $t1, 0x900000\n", "asm:2: blt: target out of range"},
       {"main:\n li $t0, 99999999999999999999999\n", "asm:2: li: bad operands"},
+      // A value its field cannot hold, even after wrapping through int32,
+      // and an extra operand that pass 1 would size differently from what
+      // pass 2 emits (shifting every later label), are rejected too.
+      {"main:\n ori $v0, $v0, 0x12345\n", "asm:2: imm: immediate out of range"},
+      {"main:\n andi $v0, $v0, -1\n", "asm:2: imm: immediate out of range"},
+      {"main:\n xori $v0, $v0, 0x10000\n",
+       "asm:2: imm: immediate out of range"},
+      {"main:\n addiu $v0, $v0, 0x100000005\n",
+       "asm:2: imm: immediate out of range"},
+      {"main:\n lw $v0, 0x100000000($sp)\n", "asm:2: mem: offset out of range"},
+      {"main:\n li $v0, 5, 6\n nop\nend: jr $ra\n", "asm:2: li: bad operands"},
+      {".data\n .byte 300\n", "asm:2: bad .byte value"},
+      {".data\n .byte 1, -129\n", "asm:2: bad .byte value"},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.source);

@@ -27,6 +27,7 @@
 #include "suite/suite.hpp"
 #include "support/json.hpp"
 #include "support/schema.hpp"
+#include "synth/vhdl.hpp"
 #include "testing_support.hpp"
 #include "toolchain/toolchain.hpp"
 
@@ -88,7 +89,9 @@ void ExpectIdenticalPartitions(const partition::PartitionResult& a,
     EXPECT_EQ(ra.synthesized.clock_mhz, rb.synthesized.clock_mhz) << i;
     EXPECT_EQ(ra.synthesized.area.total_gates, rb.synthesized.area.total_gates)
         << i;
-    EXPECT_EQ(ra.synthesized.vhdl, rb.synthesized.vhdl) << i;
+    EXPECT_EQ(synth::EmitVhdl(ra.synthesized.region, ra.synthesized.schedule),
+              synth::EmitVhdl(rb.synthesized.region, rb.synthesized.schedule))
+        << i;
   }
   EXPECT_EQ(a.rejected, b.rejected);
   EXPECT_EQ(a.area_used_gates, b.area_used_gates);
@@ -721,7 +724,9 @@ TEST(ProfileAndDecompile, ReleasedProgramsStayUsable) {
     ASSERT_TRUE(partitioned.ok()) << partitioned.status().message();
     ASSERT_FALSE(partitioned.value().hw.empty());
     for (const auto& hw : partitioned.value().hw) {
-      EXPECT_FALSE(hw.synthesized.vhdl.empty());
+      EXPECT_NE(synth::EmitVhdl(hw.synthesized.region, hw.synthesized.schedule)
+                    .find("end architecture rtl;"),
+                std::string::npos);
       EXPECT_GT(hw.synthesized.area.total_gates, 0u);
     }
   }

@@ -2,11 +2,13 @@
 // the lifter's CFG recovery, the two parsers of outside input that turn text
 // and machine words into a program.  No libFuzzer: a fixed-seed generator
 // mutates the suite's own assembly (dropped, duplicated and swapped tokens,
-// random bytes) into mips::Assemble, and feeds random text words to
-// decomp::Lift.  Every rejection must come back as a Status, and every
-// program that lifts must pass the IR verifier; an exception or (under the
-// sanitizer build) undefined behaviour fails the test.  The
-// iteration counts keep the whole file well under a second.
+// numeric literals set to field-boundary values, random bytes) into
+// mips::Assemble, and feeds random text words to decomp::Lift.  Every
+// rejection must come back as a Status, never the assembler's internal
+// pass-1/pass-2 size mismatch, and every program that lifts must pass the
+// IR verifier; an exception or (under the sanitizer build) undefined
+// behaviour fails the test.  The iteration counts keep the whole file well
+// under a second.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -82,8 +84,9 @@ std::vector<std::string_view> Tokens(std::string_view text) {
   return tokens;
 }
 
-/// One random edit of `source`: drop, duplicate or swap tokens, or write
-/// random bytes (printable assembly characters or any byte at all).
+/// One random edit of `source`: drop, duplicate or swap tokens, set a
+/// literal to a boundary value, or write random bytes (printable assembly
+/// characters or any byte at all).
 std::string Mutate(const std::string& source, Rng& rng) {
   const std::vector<std::string_view> tokens = Tokens(source);
   if (tokens.empty()) return source;
@@ -93,7 +96,7 @@ std::string Mutate(const std::string& source, Rng& rng) {
   const std::string_view a = tokens[rng.Below(tokens.size())];
   const std::string_view b = tokens[rng.Below(tokens.size())];
   std::string out = source;
-  switch (rng.Below(5)) {
+  switch (rng.Below(6)) {
     case 0:  // drop a token
       out.erase(offset(a), a.size());
       break;
@@ -116,6 +119,25 @@ std::string Mutate(const std::string& source, Rng& rng) {
       for (std::size_t i = at; i < out.size() && i < at + count; ++i) {
         out[i] = kAlphabet[rng.Below(kAlphabet.size())];
       }
+      break;
+    }
+    case 4: {  // set a literal (immediate, offset, data value) to a
+               // value at the edge of an instruction field or data width
+      static constexpr std::string_view kBoundaries[] = {
+          "0xFFFF", "0x10000", "-1",         "-32769",
+          "255",    "256",     "0x7fffffff", "0x80000000"};
+      std::vector<std::string_view> literals;
+      for (const std::string_view token : tokens) {
+        const std::size_t digit = token[0] == '-' ? 1 : 0;
+        if (digit < token.size() && token[digit] >= '0' &&
+            token[digit] <= '9') {
+          literals.push_back(token.substr(0, token.find('(')));
+        }
+      }
+      if (literals.empty()) break;
+      const std::string_view literal = literals[rng.Below(literals.size())];
+      out.replace(offset(literal), literal.size(),
+                  kBoundaries[rng.Below(std::size(kBoundaries))]);
       break;
     }
     default: {  // insert arbitrary bytes, NUL and high bytes included
@@ -142,7 +164,10 @@ TEST(FrontendFuzz, MutatedSuiteAssemblyFailsWithAStatus) {
     try {
       auto binary = mips::Assemble(source);
       if (!binary.ok()) {
-        EXPECT_FALSE(binary.status().message().empty()) << "case " << i;
+        const std::string& message = binary.status().message();
+        EXPECT_FALSE(message.empty()) << "case " << i;
+        EXPECT_EQ(message.find("internal error"), std::string::npos)
+            << "case " << i << ": " << message;
         ++rejected;
         continue;
       }

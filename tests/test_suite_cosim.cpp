@@ -12,6 +12,7 @@
 #include <array>
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <string>
 
 #include "ir/interp.hpp"
@@ -351,7 +352,6 @@ TEST(IrDigest, PrintedIrMatchesCheckedInTable) {
       << differing << "If the IR change is intended, replace kIrDigests with:\n"
       << table;
 }
-
 
 // ---------------------------------------------------------------------------
 // VHDL digests: the RT-level VHDL that synth::EmitVhdl renders for every

@@ -13,6 +13,7 @@
 #include "mips/simulator.hpp"
 #include "suite/runner.hpp"
 #include "suite/suite.hpp"
+#include "synth/vhdl.hpp"
 #include "testing_support.hpp"
 
 namespace b2h::synth {
@@ -243,7 +244,8 @@ TEST(Vhdl, EmitsWellFormedEntity) {
   const HwRegion region = ExtractFunctionRegion(*brev);
   auto synthesized = Synthesize(region, nullptr);
   ASSERT_TRUE(synthesized.ok());
-  const std::string& vhdl = synthesized.value().vhdl;
+  const std::string vhdl =
+      EmitVhdl(synthesized.value().region, synthesized.value().schedule);
   EXPECT_NE(vhdl.find("entity hw_brev is"), std::string::npos);
   EXPECT_NE(vhdl.find("architecture rtl of hw_brev is"), std::string::npos);
   EXPECT_NE(vhdl.find("use ieee.numeric_std.all;"), std::string::npos);
